@@ -12,8 +12,9 @@ def main() -> None:
     spark = get_spark("table-fig11")
     tables = [fig11.run_dataset(spark, name) for name in ("A0s", "C0s")]
     emit("fig11_queries", pd.concat(tables, ignore_index=True),
-         "Average simulated query times (calibrated cost model over exact "
-         "spans/bytes) for Q1/Q2/Q3; DELTA at k=1; SUBCHUNK baseline.")
+         "Average simulated query times (calibrated cost model over the "
+         "planned chunks: exact for Q1/Q3, index-ANDed for Q2) for "
+         "Q1/Q2/Q3; DELTA at k=1; SUBCHUNK baseline.")
 
 
 if __name__ == "__main__":

@@ -37,14 +37,8 @@ def random_partition(records: pd.DataFrame, C: int, *,
     return df
 
 
-def subchunk_partition(records: pd.DataFrame,
-                       compressed_key_bytes: dict | None = None) -> pd.DataFrame:
-    """All records of one primary key in one chunk keyed by the key.
-
-    ``compressed_key_bytes`` (key → stored bytes) overrides the raw sizes
-    when record-level compression is simulated; by default the chunk size
-    is the sum of raw member sizes.
-    """
+def subchunk_partition(records: pd.DataFrame) -> pd.DataFrame:
+    """All records of one primary key in one chunk keyed by the key."""
     df = records[["key", "origin", "size"]].copy()
     df["chunk"] = df["key"].astype(np.int64)
     return df

@@ -7,17 +7,31 @@ on the application server:
 - ``version_to_chunks``: which chunks contain records of a version,
 - ``key_to_chunks``: which chunks contain records of a primary key.
 
-Both are built by one Spark aggregation over membership ⋈ assignment and
-collected into driver hash maps — the paper uses in-memory hashmaps too
-and reports their sizes (we expose :func:`index_sizes_bytes` for the
-same measurement).
+One builder, :meth:`IndexSet.from_pairs`, turns driver-side
+``(vid, chunk)`` and ``(key, chunk)`` pairs into these hash maps — the
+paper uses in-memory hashmaps too and reports their sizes (we expose
+:meth:`IndexSet.sizes_bytes` for the same measurement).
+:func:`build_indexes` feeds it from Spark with one aggregation over the
+chunk map; the experiments feed it from pandas membership ⋈ assignment.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+import pandas as pd
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
+
+
+def _projection(pairs: pd.DataFrame, col: str) -> dict:
+    """``col`` → sorted list of distinct chunks, from ``(col, chunk)`` rows."""
+    p = pairs[[col, "chunk"]].drop_duplicates().sort_values([col, "chunk"])
+    if p.empty:
+        return {}
+    ids, chunks = p[col].to_numpy(), p["chunk"].to_numpy()
+    starts = np.flatnonzero(np.r_[True, ids[1:] != ids[:-1]])
+    return {int(i): c.tolist()
+            for i, c in zip(ids[starts], np.split(chunks, starts[1:]))}
 
 
 @dataclass
@@ -27,6 +41,15 @@ class IndexSet:
     version_to_chunks: dict   # vid -> sorted list[int]
     key_to_chunks: dict       # key -> sorted list[int]
     chunk_bytes: dict         # chunk -> bytes
+
+    @classmethod
+    def from_pairs(cls, version_chunks: pd.DataFrame,
+                   key_chunks: pd.DataFrame, chunk_bytes) -> IndexSet:
+        """Build from ``(vid, chunk)`` rows, ``(key, chunk)`` rows and a
+        chunk → bytes mapping (dict or Series); duplicates are ignored."""
+        return cls(version_to_chunks=_projection(version_chunks, "vid"),
+                   key_to_chunks=_projection(key_chunks, "key"),
+                   chunk_bytes={int(c): int(b) for c, b in chunk_bytes.items()})
 
     def chunks_for_version(self, vid: int) -> list[int]:
         return self.version_to_chunks.get(int(vid), [])
@@ -50,20 +73,11 @@ def chunk_map_df(membership: DataFrame, assignment: DataFrame) -> DataFrame:
 
 
 def build_indexes(membership: DataFrame, assignment: DataFrame) -> IndexSet:
-    """Build both lossy projections with two Spark aggregations."""
-    cm = chunk_map_df(membership, assignment)
-    v2c_rows = (cm.groupBy("vid")
-                .agg(F.sort_array(F.collect_set("chunk")).alias("chunks"))
-                .collect())
-    k2c_rows = (assignment.groupBy("key")
-                .agg(F.sort_array(F.collect_set("chunk")).alias("chunks"))
-                .collect())
-    bytes_rows = (assignment.groupBy("chunk")
-                  .agg(F.sum("size").alias("bytes")).collect())
-    return IndexSet(
-        version_to_chunks={int(r["vid"]): [int(c) for c in r["chunks"]]
-                           for r in v2c_rows},
-        key_to_chunks={int(r["key"]): [int(c) for c in r["chunks"]]
-                       for r in k2c_rows},
-        chunk_bytes={int(r["chunk"]): int(r["bytes"]) for r in bytes_rows},
-    )
+    """Both lossy projections, with one Spark aggregation (the distinct
+    ``(vid, chunk)`` pairs of the chunk map); the assignment is
+    metadata-scale and collected as is."""
+    v_pairs = (chunk_map_df(membership, assignment)
+               .select("vid", "chunk").distinct().toPandas())
+    asg = assignment.select("key", "chunk", "size").toPandas()
+    return IndexSet.from_pairs(v_pairs, asg,
+                               asg.groupby("chunk")["size"].sum())

@@ -13,12 +13,11 @@ the same prefix.
 """
 from __future__ import annotations
 
-import numpy as np
 import pandas as pd
 
 from ..versioned.graph import VersionGraph
 from .bottom_up import bottom_up_partition
-from .span import total_version_span_pd, version_spans_pd
+from .span import total_version_span_pd
 
 
 def _batch_graph(graph: VersionGraph, lo: int, hi: int):
@@ -115,8 +114,3 @@ def quality_ratio(graph: VersionGraph, records: pd.DataFrame,
         out[t] = online_span / max(1, offline_span)
     return out
 
-
-def online_version_spans(membership: pd.DataFrame,
-                         assignment: pd.DataFrame) -> pd.Series:
-    """Convenience pandas span evaluation for online snapshots."""
-    return version_spans_pd(membership, assignment)

@@ -27,6 +27,8 @@ from collections import defaultdict
 import numpy as np
 import pandas as pd
 
+from .shingle import shingle_partition
+
 
 def build_subchunks(graph, records: pd.DataFrame, k: int) -> pd.DataFrame:
     """Phase 1: assign every record to a sub-chunk.
@@ -179,6 +181,18 @@ def sc_dataset(graph, membership: pd.DataFrame, sc_assign: pd.DataFrame,
         {"key": pd.Series(dtype="int64"), "origin": pd.Series(dtype="int64"),
          "kill_vid": pd.Series(dtype="int64")})
     return sc_records, sc_kills, sc_region
+
+
+def shingle_subchunk_partition(spark, sc_records: pd.DataFrame,
+                               sc_region: pd.DataFrame, C: int) -> pd.DataFrame:
+    """Phase-2 SHINGLE over sub-chunks, shingled on each sub-chunk's exact
+    region (:func:`sc_dataset`). Returns ``(key=sc, origin, size, chunk)``."""
+    reg = sc_region.merge(sc_records.rename(columns={"key": "sc"})[
+        ["sc", "size"]], on="sc").rename(columns={"sc": "key"})
+    reg["origin"] = 0
+    mem_sc = spark.createDataFrame(reg[["vid", "key", "origin", "size"]])
+    return (shingle_partition(mem_sc, C)
+            .select("key", "origin", "size", "chunk").toPandas())
 
 
 def transformed_tree(graph, records: pd.DataFrame, sc_assign: pd.DataFrame):

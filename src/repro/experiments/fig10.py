@@ -15,9 +15,8 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from ..core.bottom_up import bottom_up_partition
-from ..core.shingle import shingle_partition
-from ..core.span import total_version_span_pd
-from ..core.subchunks import build_subchunks, compress_subchunks, sc_dataset
+from ..core.subchunks import (build_subchunks, compress_subchunks, sc_dataset,
+                              shingle_subchunk_partition)
 from ..core.traversal import dfs_partition
 from ..versioned.datasets import make
 from ..versioned.membership import membership_pd
@@ -51,26 +50,10 @@ def run_dataset(spark: SparkSession | None, name: str, *,
                     asg = bottom_up_partition(g, screc, sckill, C)
                 elif algo == "DEPTHFIRST":
                     asg = dfs_partition(g, screc, C)
-                elif algo == "SHINGLE":
-                    if spark is None:
-                        continue
-                    # Sub-chunk membership: exact region per sub-chunk.
-                    reg = screg.merge(
-                        screc.rename(columns={"key": "sc"})[["sc", "size"]],
-                        on="sc").rename(columns={"sc": "key"})
-                    reg["origin"] = 0
-                    mem_sc = spark.createDataFrame(
-                        reg[["vid", "key", "origin", "size"]])
-                    asg = (shingle_partition(mem_sc, C)
-                           .select("key", "origin", "chunk").toPandas())
-                    asg = asg.rename(columns={"key": "sc"}).drop(
-                        columns="origin")
-                    rows.append({
-                        "dataset": name, "p_d_pct": int(p_d * 100), "k": k,
-                        "algorithm": algo, "compression_ratio": round(ratio, 2),
-                        "total_span": _record_span(mem_p, sc, asg),
-                        "n_chunks": int(asg["chunk"].nunique())})
+                elif spark is None:  # SHINGLE needs Spark
                     continue
+                else:
+                    asg = shingle_subchunk_partition(spark, screc, screg, C)
                 chunk_of = asg.rename(columns={"key": "sc"})[["sc", "chunk"]]
                 rows.append({
                     "dataset": name, "p_d_pct": int(p_d * 100), "k": k,

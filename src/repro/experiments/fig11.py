@@ -2,12 +2,14 @@
 version), Q2 (partial version) and Q3 (record evolution), per algorithm
 and max sub-chunk size k, plus the SUBCHUNK and DELTA baselines.
 
-Times are charged by the calibrated QUERY cost model over the *exact*
-spans/bytes of each layout (requests + bytes + sequential per-chunk
-processing — the dominant terms in the paper's measurements; DESIGN §2).
-Queries are drawn from a seeded random workload. DELTA appears only at
-k=1 (no cross-version record compression); its Q3 must reconstruct every
-version, which is why the paper calls it impractical.
+Times are charged by the calibrated QUERY cost model (requests + bytes +
+sequential per-chunk processing — the dominant terms in the paper's
+measurements; DESIGN §2) over the chunks the query planner of
+:mod:`repro.core.query` would fetch: exactly the chunks holding matching
+records for Q1 and Q3, and the index-ANDed superset of them for Q2
+(§2.4). Queries are drawn from a seeded random workload. DELTA appears
+only at k=1 (no cross-version record compression); its Q3 must
+reconstruct every version, which is why the paper calls it impractical.
 """
 from __future__ import annotations
 
@@ -17,9 +19,10 @@ from pyspark.sql import SparkSession
 
 from ..core.baselines import delta_partition, delta_version_spans
 from ..core.bottom_up import bottom_up_partition
-from ..core.shingle import shingle_partition
-from ..core.span import total_version_span_pd
-from ..core.subchunks import build_subchunks, compress_subchunks, sc_dataset
+from ..core.indexes import IndexSet
+from ..core.query import plan_evolution, plan_full_version, plan_range
+from ..core.subchunks import (build_subchunks, compress_subchunks, sc_dataset,
+                              shingle_subchunk_partition)
 from ..core.traversal import dfs_partition
 from ..kvs.cost import QUERY_MODEL, CostModel
 from ..versioned.datasets import make
@@ -29,33 +32,29 @@ K_VALUES = (1, 5, 20, 50)
 N_QUERIES = 20
 
 
+def _q2_times(idx: IndexSet, vids, max_key: pd.Series, *, rng,
+              model: CostModel) -> list[float]:
+    """Q2 over a random range of 10% of each version's largest key."""
+    out = []
+    for v in vids:
+        top = max_key.loc[v]
+        lo = rng.integers(0, max(1, int(top)))
+        hi = lo + max(1, int(0.1 * top))
+        out.append(plan_range(idx, v, lo, hi, model)[1].sim_time_s)
+    return out
+
+
 def _query_times(mem_p, rec_assign, chunk_bytes, *, rng,
                  model: CostModel) -> dict:
     """Average simulated Q1/Q2/Q3 times over a random workload."""
     joined = mem_p.merge(rec_assign, on=["key", "origin"])
+    idx = IndexSet.from_pairs(joined, rec_assign, chunk_bytes)
     vids = rng.choice(joined["vid"].unique(), N_QUERIES)
     keys = rng.choice(joined["key"].unique(), N_QUERIES)
-    q1, q2, q3 = [], [], []
-    by_vid = joined.groupby("vid")
-    key_chunks = rec_assign.merge(
-        chunk_bytes.rename("cb"), left_on="chunk", right_index=True)
-    by_key = key_chunks.groupby("key")
-    for v in vids:
-        grp = by_vid.get_group(v)
-        chunks = grp["chunk"].unique()
-        nbytes = int(chunk_bytes.loc[chunks].sum())
-        q1.append(model.retrieval_time(len(chunks), nbytes))
-        # Q2: a random 10%-of-keyspace range of this version.
-        lo = rng.integers(0, max(1, int(grp["key"].max())))
-        hi = lo + max(1, int(0.1 * grp["key"].max()))
-        sub = grp[grp["key"].between(lo, hi)]["chunk"].unique()
-        nbytes2 = int(chunk_bytes.loc[sub].sum())
-        q2.append(model.retrieval_time(len(sub), nbytes2))
-    for k in keys:
-        grp = by_key.get_group(k)
-        chunks = grp["chunk"].unique()
-        nbytes = int(chunk_bytes.loc[chunks].sum())
-        q3.append(model.retrieval_time(len(chunks), nbytes))
+    q1 = [plan_full_version(idx, v, model)[1].sim_time_s for v in vids]
+    q2 = _q2_times(idx, vids, joined.groupby("vid")["key"].max(), rng=rng,
+                   model=model)
+    q3 = [plan_evolution(idx, k, model)[1].sim_time_s for k in keys]
     return {"q1_s": float(np.mean(q1)), "q2_s": float(np.mean(q2)),
             "q3_s": float(np.mean(q3))}
 
@@ -78,13 +77,7 @@ def run_dataset(spark: SparkSession | None, name: str, *,
             "DEPTHFIRST": dfs_partition(g, screc, C),
         }
         if spark is not None:
-            reg = screg.merge(screc.rename(columns={"key": "sc"})[
-                ["sc", "size"]], on="sc").rename(columns={"sc": "key"})
-            reg["origin"] = 0
-            mem_sc = spark.createDataFrame(reg[["vid", "key", "origin", "size"]])
-            algos["SHINGLE"] = (shingle_partition(mem_sc, C)
-                                .select("key", "origin", "size", "chunk")
-                                .toPandas())
+            algos["SHINGLE"] = shingle_subchunk_partition(spark, screc, screg, C)
         for algo, asg in algos.items():
             rec_assign = sc.merge(
                 asg.rename(columns={"key": "sc"})[["sc", "chunk"]], on="sc")
@@ -112,22 +105,18 @@ def run_dataset(spark: SparkSession | None, name: str, *,
                  "q1_s": float(np.mean(q1)), "q2_s": float(np.mean(q1)),
                  "q3_s": q3})
 
-    # SUBCHUNK baseline: one (compressed) group per key. Q2 fetches only
-    # the groups of keys inside the requested 10% range.
+    # SUBCHUNK baseline: one (compressed) group per key, so the chunk id
+    # is the key and index-ANDing is exact.
     key_bytes = compress_subchunks(
         ds.records, ds.records[["key", "origin"]].assign(
             sc=ds.records["key"]), g.depths()).set_index("sc")["comp_bytes"]
-    v_keys = mem_p.groupby("vid")["key"].unique()
-    q1, q2 = [], []
-    for v in vids:
-        ks = v_keys.loc[v]
-        q1.append(model.retrieval_time(len(ks), int(key_bytes.loc[ks].sum())))
-        lo = rng.integers(0, max(1, int(ks.max())))
-        hi = lo + max(1, int(0.1 * ks.max()))
-        sub = ks[(ks >= lo) & (ks <= hi)]
-        q2.append(model.retrieval_time(
-            len(sub), int(key_bytes.loc[sub].sum())))
-    q3 = [model.retrieval_time(1, int(key_bytes.loc[k])) for k in
+    sub_idx = IndexSet.from_pairs(mem_p.assign(chunk=mem_p["key"]),
+                                  ds.records.assign(chunk=ds.records["key"]),
+                                  key_bytes)
+    q1 = [plan_full_version(sub_idx, v, model)[1].sim_time_s for v in vids]
+    q2 = _q2_times(sub_idx, vids, mem_p.groupby("vid")["key"].max(), rng=rng,
+                   model=model)
+    q3 = [plan_evolution(sub_idx, k, model)[1].sim_time_s for k in
           rng.choice(ds.records["key"].unique(), N_QUERIES)]
     rows.append({"dataset": name, "k": "all", "algorithm": "SUBCHUNK",
                  "q1_s": float(np.mean(q1)), "q2_s": float(np.mean(q2)),

@@ -18,7 +18,8 @@ import numpy as np
 import pandas as pd
 
 from ..core.bottom_up import bottom_up_partition
-from ..core.span import version_spans_pd
+from ..core.indexes import IndexSet
+from ..core.query import plan_evolution, plan_full_version
 from ..kvs.cost import QUERY_MODEL
 from ..versioned.generator import generate
 from ..versioned.graph import random_tree
@@ -46,29 +47,21 @@ def run_dataset(name: str, *, base_versions: int, n_base: int,
         ds = generate(g, n_base=n_base, pct_update=pct_update, seed=seed)
         mem = membership_pd(g, ds.records, ds.kills)
         asg = bottom_up_partition(g, ds.records, ds.kills, C)
-        joined = mem.merge(asg, on=["key", "origin"])
-        spans = joined.groupby("vid")["chunk"].nunique()
-        chunk_bytes = asg.groupby("chunk")["size"].sum()
+        idx = IndexSet.from_pairs(mem.merge(asg, on=["key", "origin"]), asg,
+                                  asg.groupby("chunk")["size"].sum())
         model = replace(QUERY_MODEL, concurrency=n_nodes)
-        # Q1 over sampled versions.
-        vids = rng.choice(spans.index.to_numpy(), 15)
-        q1 = []
-        for v in vids:
-            chunks = joined[joined.vid == v]["chunk"].unique()
-            q1.append(model.retrieval_time(
-                len(chunks), int(chunk_bytes.loc[chunks].sum())))
-        # Q3 over sampled keys.
-        key_chunks = asg.groupby("key")["chunk"].unique()
+        # Q1 over sampled versions, Q3 over sampled keys.
+        vids = rng.choice(sorted(idx.version_to_chunks), 15)
+        q1 = [plan_full_version(idx, v, model)[1].sim_time_s for v in vids]
         keys = rng.choice(asg["key"].unique(), 15)
-        q3 = [model.retrieval_time(
-            len(key_chunks.loc[k]),
-            int(chunk_bytes.loc[key_chunks.loc[k]].sum())) for k in keys]
+        q3 = [plan_evolution(idx, k, model)[1].sim_time_s for k in keys]
         rows.append({
             "dataset": name, "nodes": n_nodes, "versions": n_versions,
-            "avg_version_span": round(float(spans.mean()), 2),
+            "avg_version_span": round(float(np.mean(
+                [len(c) for c in idx.version_to_chunks.values()])), 2),
             "q1_s": round(float(np.mean(q1)), 3),
-            "avg_key_span": round(float(
-                key_chunks.map(len).mean()), 2),
+            "avg_key_span": round(float(np.mean(
+                [len(c) for c in idx.key_to_chunks.values()])), 2),
             "q3_s": round(float(np.mean(q3)), 4),
         })
     return pd.DataFrame(rows)

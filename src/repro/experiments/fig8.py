@@ -30,8 +30,7 @@ def run_dataset(spark: SparkSession, name: str, *, scale: float = 1.0,
         "dataset": name,
         "BOTTOMUP": total_version_span_pd(
             mem_p, bottom_up_partition(g, ds.records, ds.kills, C)),
-        "SHINGLE": int(mem_p.merge(sh, on=["key", "origin"])
-                       .groupby("vid")["chunk"].nunique().sum()),
+        "SHINGLE": total_version_span_pd(mem_p, sh),
         "DEPTHFIRST": total_version_span_pd(
             mem_p, dfs_partition(g, ds.records, C)),
         "BREADTHFIRST": total_version_span_pd(

@@ -1,8 +1,9 @@
 """Tests for the lossy projections and chunk maps (§2.4, Fig 3)."""
+import pandas as pd
 import pytest
 
 from repro.core.bottom_up import bottom_up_partition
-from repro.core.indexes import build_indexes, chunk_map_df
+from repro.core.indexes import IndexSet, build_indexes, chunk_map_df
 from repro.core.span import assignment_df
 from repro.versioned.generator import generate
 from repro.versioned.graph import random_tree
@@ -51,6 +52,32 @@ class TestProjections:
         sizes = idx.sizes_bytes()
         assert sizes["version_to_chunks"] > 0
         assert sizes["key_to_chunks"] > 0
+
+
+class TestBuilder:
+    def test_spark_build_equals_pandas_builder(self, built):
+        # The engine's Spark path and the experiments' pandas path feed
+        # the same builder and must agree.
+        g, ds, mem_p, asg, adf, mem_s, idx = built
+        want = IndexSet.from_pairs(mem_p.merge(asg, on=["key", "origin"]),
+                                   asg, asg.groupby("chunk")["size"].sum())
+        assert idx == want
+
+    def test_plain_int_types(self, built):
+        *_, idx = built
+        for proj in (idx.version_to_chunks, idx.key_to_chunks):
+            for k, chunks in proj.items():
+                assert type(k) is int
+                assert all(type(c) is int for c in chunks)
+                assert chunks == sorted(set(chunks))
+        assert all(type(c) is int and type(b) is int
+                   for c, b in idx.chunk_bytes.items())
+
+    def test_empty_pairs(self):
+        empty = IndexSet.from_pairs(
+            pd.DataFrame({"vid": [], "chunk": []}, dtype="int64"),
+            pd.DataFrame({"key": [], "chunk": []}, dtype="int64"), {})
+        assert empty == IndexSet({}, {}, {})
 
 
 class TestChunkMaps:

@@ -1,11 +1,13 @@
 """End-to-end query-processing tests (§2.4) against the DuckDB oracle."""
-import pandas as pd
+import numpy as np
 import pytest
 
 from repro.core.bottom_up import bottom_up_partition
 from repro.core.indexes import build_indexes, chunk_map_df
-from repro.core.query import QueryEngine
+from repro.core.query import (QueryEngine, plan_evolution, plan_full_version,
+                              plan_range, plan_record)
 from repro.core.span import assignment_df
+from repro.kvs.cost import CostModel
 from repro.kvs.store import ChunkStore
 from repro.oracle import assert_equivalent
 from repro.versioned.generator import generate
@@ -108,3 +110,64 @@ class TestPoint:
             pytest.skip("no deleted keys in generated data")
         out, _ = qe.record(int(sorted(dead)[0]), g.n - 1)
         assert out.count() == 0
+
+
+class TestPlanner:
+    """The one planner: exact for Q1/Q3, a superset for Q2/point."""
+
+    @staticmethod
+    def _joined(mem_p, asg):
+        return mem_p.merge(asg[["key", "origin", "chunk"]],
+                           on=["key", "origin"])
+
+    def test_q1_plan_is_version_projection(self, engine):
+        g, ds, mem_p, asg, qe = engine
+        cb = asg.groupby("chunk")["size"].sum()
+        for vid, grp in self._joined(mem_p, asg).groupby("vid"):
+            want = sorted(int(c) for c in grp["chunk"].unique())
+            ids, stats = plan_full_version(qe.indexes, vid)
+            assert ids == want
+            assert stats.span == len(want)
+            assert stats.bytes == int(cb.loc[want].sum())
+
+    def test_q3_plan_is_key_projection(self, engine):
+        g, ds, mem_p, asg, qe = engine
+        for key, grp in asg.groupby("key"):
+            ids, _ = plan_evolution(qe.indexes, key)
+            assert ids == sorted(int(c) for c in grp["chunk"].unique())
+
+    def test_q2_and_point_plans_cover_matching_chunks(self, engine):
+        g, ds, mem_p, asg, qe = engine
+        joined = self._joined(mem_p, asg)
+        rng = np.random.default_rng(3)
+        top = int(asg["key"].max())
+        for _ in range(40):
+            vid = int(rng.integers(g.n))
+            lo = int(rng.integers(0, top))
+            hi = lo + int(rng.integers(1, top // 2))
+            ids, _ = plan_range(qe.indexes, vid, lo, hi)
+            match = joined[(joined.vid == vid) & joined.key.between(lo, hi)]
+            assert set(match["chunk"]) <= set(ids)
+            assert set(ids) <= set(qe.indexes.chunks_for_version(vid))
+            assert ids == sorted(ids)
+        for r in joined.sample(n=40, random_state=0).itertuples():
+            ids, _ = plan_record(qe.indexes, r.key, r.vid)
+            assert r.chunk in ids
+
+    def test_cost_model_is_the_given_one(self, engine):
+        *_, qe = engine
+        model = CostModel(concurrency=4, process_s_per_chunk=0.5)
+        ids, stats = plan_full_version(qe.indexes, 5, model)
+        assert stats.sim_time_s == model.retrieval_time(len(ids), stats.bytes)
+
+    def test_engine_stats_equal_plan(self, engine):
+        g, ds, mem_p, asg, qe = engine
+        key, vid = int(mem_p.key.iloc[0]), int(mem_p.vid.iloc[0])
+        pairs = [
+            (qe.full_version(vid), plan_full_version(qe.indexes, vid)),
+            (qe.range_query(vid, 5, 30), plan_range(qe.indexes, vid, 5, 30)),
+            (qe.record_evolution(key), plan_evolution(qe.indexes, key)),
+            (qe.record(key, vid), plan_record(qe.indexes, key, vid)),
+        ]
+        for (_, got), (_, want) in pairs:
+            assert got == want
