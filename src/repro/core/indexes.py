@@ -1,8 +1,8 @@
 """Indexes and lossy projections (§2.4, Fig 3b).
 
 The full 3-D mapping M(K, V, C) is kept as per-chunk *chunk maps*
-(stored with the chunks in the KVS) plus two lossy in-memory projections
-on the application server:
+(stored in each chunk's own rows in the KVS, as every record's sorted
+``vids``) plus two lossy in-memory projections on the application server:
 
 - ``version_to_chunks``: which chunks contain records of a version,
 - ``key_to_chunks``: which chunks contain records of a primary key.

@@ -9,14 +9,16 @@ queries AND the two projections (index-ANDing), so a planned chunk may
 turn out to hold no matching record — the lossy-projection artifact the
 paper notes. The Fig 11/12 experiments stop at the plan;
 :class:`QueryEngine` also fetches the planned chunks from the
-:class:`~repro.kvs.store.ChunkStore` (request/byte traffic is accounted
-there) and uses the chunk maps to extract exactly the requested records.
+:class:`~repro.kvs.store.ChunkStore` with one get (request/byte traffic
+is accounted there). Each stored record carries its chunk map entry, the
+sorted ``vids`` it belongs to, so extracting exactly the requested
+records is a filter over the fetched rows.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import Column, DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from ..kvs.cost import CostModel, QUERY_MODEL
@@ -86,41 +88,30 @@ class QueryEngine:
         self.indexes = indexes
         self.cost = cost
 
-    def _fetch(self, ids: list[int]) -> tuple[DataFrame, DataFrame]:
-        return (self.store.get_chunks(self.spark, ids),
-                self.store.get_chunk_maps(self.spark, ids))
-
-    @staticmethod
-    def _extract(recs: DataFrame, wanted: DataFrame) -> DataFrame:
-        return recs.join(wanted.select("key", "origin"), ["key", "origin"]
-                         ).select("key", "origin", "size", "payload")
+    def _get(self, ids: list[int], wanted: Column) -> DataFrame:
+        return (self.store.get_chunks(self.spark, ids).where(wanted)
+                .select("key", "origin", "size", "payload"))
 
     def full_version(self, vid: int) -> tuple[DataFrame, QueryStats]:
         """Q1: all records belonging to version ``vid``."""
         ids, stats = plan_full_version(self.indexes, vid, self.cost)
-        recs, maps = self._fetch(ids)
-        return self._extract(recs, maps.where(F.col("vid") == vid)), stats
+        return self._get(ids, F.array_contains("vids", vid)), stats
 
     def range_query(self, vid: int, key_lo: int,
                     key_hi: int) -> tuple[DataFrame, QueryStats]:
         """Q2: records of ``vid`` with ``key_lo <= key <= key_hi``."""
         ids, stats = plan_range(self.indexes, vid, key_lo, key_hi, self.cost)
-        recs, maps = self._fetch(ids)
-        wanted = (maps.where(F.col("vid") == vid)
-                  .where(F.col("key").between(key_lo, key_hi)))
-        return self._extract(recs, wanted), stats
+        wanted = (F.array_contains("vids", vid)
+                  & F.col("key").between(key_lo, key_hi))
+        return self._get(ids, wanted), stats
 
     def record_evolution(self, key: int) -> tuple[DataFrame, QueryStats]:
         """Q3: every distinct record ever stored under ``key``."""
         ids, stats = plan_evolution(self.indexes, key, self.cost)
-        recs, _maps = self._fetch(ids)
-        out = recs.where(F.col("key") == key).select(
-            "key", "origin", "size", "payload")
-        return out, stats
+        return self._get(ids, F.col("key") == key), stats
 
     def record(self, key: int, vid: int) -> tuple[DataFrame, QueryStats]:
         """Point query: the record of ``key`` live in version ``vid``."""
         ids, stats = plan_record(self.indexes, key, vid, self.cost)
-        recs, maps = self._fetch(ids)
-        wanted = maps.where((F.col("vid") == vid) & (F.col("key") == key))
-        return self._extract(recs, wanted), stats
+        wanted = F.array_contains("vids", vid) & (F.col("key") == key)
+        return self._get(ids, wanted), stats

@@ -1,3 +1,3 @@
 """One module per evaluation table (DESIGN §5): each exposes ``run(...)``
-returning a pandas DataFrame with the table's rows, shared by the
-``jobs/`` entrypoints and the ``benchmarks/`` suite."""
+returning a pandas DataFrame with the table's rows, used by the
+``jobs/`` entrypoints."""

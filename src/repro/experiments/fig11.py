@@ -17,7 +17,8 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from ..core.baselines import delta_partition, delta_version_spans
+from ..core.baselines import (delta_partition, delta_version_spans,
+                              subchunk_partition)
 from ..core.bottom_up import bottom_up_partition
 from ..core.indexes import IndexSet
 from ..core.query import plan_evolution, plan_full_version, plan_range
@@ -111,7 +112,7 @@ def run_dataset(spark: SparkSession | None, name: str, *,
         ds.records, ds.records[["key", "origin"]].assign(
             sc=ds.records["key"]), g.depths()).set_index("sc")["comp_bytes"]
     sub_idx = IndexSet.from_pairs(mem_p.assign(chunk=mem_p["key"]),
-                                  ds.records.assign(chunk=ds.records["key"]),
+                                  subchunk_partition(ds.records),
                                   key_bytes)
     q1 = [plan_full_version(sub_idx, v, model)[1].sim_time_s for v in vids]
     q2 = _q2_times(sub_idx, vids, mem_p.groupby("vid")["key"].max(), rng=rng,

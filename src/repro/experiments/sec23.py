@@ -10,7 +10,7 @@ SEC23 cost model (DESIGN §2). Paper row: 65.42 / 14.18 / 3.10 / 1.07 /
 from __future__ import annotations
 
 import pandas as pd
-from pyspark.sql import SparkSession
+from pyspark.sql import SparkSession, Window
 from pyspark.sql import functions as F
 
 from ..kvs.cost import SEC23_MODEL, CostModel
@@ -30,8 +30,7 @@ def run(spark: SparkSession, *, n_records: int = 1_000_000,
         # consecutive hash-order records form a chunk == random assignment.
         F.xxhash64(F.lit(seed), F.col("id")).alias("h"))
     ordered = recs.withColumn(
-        "pos", F.row_number().over(__import__("pyspark").sql.Window
-                                   .orderBy("h")) - 1).cache()
+        "pos", F.row_number().over(Window.orderBy("h")) - 1).cache()
     version = spark.range(n_records).select(
         F.col("id").alias("rec"),
         F.xxhash64(F.lit(seed + 1), F.col("id")).alias("vh")

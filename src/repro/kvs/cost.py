@@ -29,7 +29,6 @@ class CostModel:
     request_latency_s: float = 6.5e-4
     bandwidth_bps: float = 200e6          # bytes/second, per stream
     process_s_per_chunk: float = 9e-3     # sequential client-side extraction
-    process_s_per_byte: float = 0.0       # extra CPU per byte (off by default)
     concurrency: int = 1                  # parallel in-flight requests
 
     def retrieval_time(self, n_requests: int, n_bytes: int) -> float:
@@ -37,8 +36,7 @@ class CostModel:
         waves = -(-n_requests // max(1, self.concurrency))  # ceil div
         return (waves * self.request_latency_s
                 + n_bytes / self.bandwidth_bps
-                + n_requests * self.process_s_per_chunk
-                + n_bytes * self.process_s_per_byte)
+                + n_requests * self.process_s_per_chunk)
 
 
 # The §2.3 microbenchmark predates the chunked architecture (no 1 MB

@@ -1,20 +1,21 @@
 """ChunkStore: the simulated distributed KVS (DESIGN §2).
 
-Chunks are the unit of storage (§2.4). Each chunk's records live in a
-Parquet dataset partitioned by ``chunk`` — a chunk-id lookup becomes a
-partition-pruned scan, the columnar analogue of a KVS ``get``. The
-per-chunk *chunk map* (which versions each record in the chunk belongs
-to) is co-stored the same way, as the paper stores it alongside the
-chunk. Chunks are distributed over ``n_nodes`` simulated servers by
-``chunk % n_nodes``; every ``get_chunks`` records request/byte traffic so
-experiments can charge the calibrated :class:`~repro.kvs.cost.CostModel`.
+Chunks are the unit of storage (§2.4). The store is one Parquet dataset
+partitioned by ``chunk`` and written so that each chunk is exactly one
+file: a chunk-id lookup is a partition-pruned scan, the columnar analogue
+of a KVS ``get``. The per-chunk *chunk map* (which versions each record in
+the chunk belongs to) lives in the chunk's own rows, as the paper stores
+it alongside the chunk: every record carries its sorted ``vids``, so one
+get returns both and extracting a version's records is a filter. Chunks
+are distributed over ``n_nodes`` simulated servers by ``chunk % n_nodes``;
+every ``get_chunks`` records request/byte traffic so experiments can
+charge the calibrated :class:`~repro.kvs.cost.CostModel`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
@@ -36,7 +37,7 @@ class KVSStats:
 
 
 class ChunkStore:
-    """Persist chunked records + chunk maps; serve chunk-id gets."""
+    """Persist one object per chunk (records + chunk map); serve gets."""
 
     def __init__(self, path: str | Path, n_nodes: int = 1):
         self.path = Path(path)
@@ -48,23 +49,21 @@ class ChunkStore:
     def records_path(self) -> str:
         return str(self.path / "chunks")
 
-    @property
-    def maps_path(self) -> str:
-        return str(self.path / "chunk_maps")
-
     def write(self, records_with_chunk: DataFrame,
-              chunk_map: DataFrame | None = None) -> None:
-        """Write the chunked records (and optionally the chunk maps).
+              chunk_map: DataFrame) -> None:
+        """Write each chunk as one file of rows ``(key, origin, size,
+        payload?, vids)``.
 
         ``records_with_chunk``: (key, origin, size, payload?, chunk).
         ``chunk_map``: (chunk, vid, key, origin) — the per-chunk slice of
-        the 3-D mapping M (§2.4).
+        the 3-D mapping M (§2.4), folded into each record's sorted
+        ``vids``. A record in no version keeps a null ``vids``.
         """
-        (records_with_chunk.write.mode("overwrite")
+        vids = (chunk_map.groupBy("key", "origin")
+                .agg(F.array_sort(F.collect_list("vid")).alias("vids")))
+        (records_with_chunk.join(vids, ["key", "origin"], "left")
+         .repartition("chunk").write.mode("overwrite")
          .partitionBy("chunk").parquet(self.records_path))
-        if chunk_map is not None:
-            (chunk_map.write.mode("overwrite")
-             .partitionBy("chunk").parquet(self.maps_path))
         sizes = (records_with_chunk.groupBy("chunk")
                  .agg(F.sum("size").alias("bytes")).collect())
         self._chunk_bytes = {int(r["chunk"]): int(r["bytes"]) for r in sizes}
@@ -77,11 +76,6 @@ class ChunkStore:
         ids = [int(c) for c in chunk_ids]
         self.stats.record(ids, self._chunk_bytes, self.n_nodes)
         df = spark.read.parquet(self.records_path)
-        return df.where(F.col("chunk").isin(ids))
-
-    def get_chunk_maps(self, spark: SparkSession, chunk_ids) -> DataFrame:
-        ids = [int(c) for c in chunk_ids]
-        df = spark.read.parquet(self.maps_path)
         return df.where(F.col("chunk").isin(ids))
 
     def reset_stats(self) -> None:

@@ -81,7 +81,7 @@ class TestBuilder:
 
 
 class TestChunkMaps:
-    def test_chunk_maps_aggregate_to_full_mapping(self, spark, built):
+    def test_chunk_map_aggregates_to_full_mapping(self, spark, built):
         # In aggregate the chunk maps contain exactly M (§2.4).
         g, ds, mem_p, asg, adf, mem_s, idx = built
         cm = chunk_map_df(mem_s, adf).toPandas()

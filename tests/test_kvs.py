@@ -8,7 +8,7 @@ from repro.core.span import assignment_df
 from repro.kvs.store import ChunkStore, KVSStats
 from repro.versioned.generator import generate
 from repro.versioned.graph import random_tree
-from repro.versioned.membership import membership_spark
+from repro.versioned.membership import membership_pd, membership_spark
 
 
 @pytest.fixture(scope="module")
@@ -20,8 +20,16 @@ def store(spark, tmp_path_factory):
     asg = bottom_up_partition(g, ds.records, ds.kills, C=500)
     adf = assignment_df(spark, asg)
     st = ChunkStore(tmp_path_factory.mktemp("kvs"), n_nodes=4)
-    st.write(rdf.join(adf.select("key", "origin", "chunk"), ["key", "origin"]),
-             chunk_map_df(mem, adf))
+    # With coalescing off, every shuffle partition holds rows, as in a large
+    # store, so the one-file-per-chunk test sees a multi-task write.
+    coalesce = "spark.sql.adaptive.coalescePartitions.enabled"
+    prev = spark.conf.get(coalesce)
+    spark.conf.set(coalesce, "false")
+    try:
+        st.write(rdf.join(adf.select("key", "origin", "chunk"),
+                          ["key", "origin"]), chunk_map_df(mem, adf))
+    finally:
+        spark.conf.set(coalesce, prev)
     return g, ds, asg, st
 
 
@@ -39,12 +47,27 @@ class TestWriteRead:
         exp = asg[asg["chunk"] == one]
         assert set(zip(got.key, got.origin)) == set(zip(exp.key, exp.origin))
 
-    def test_chunk_maps_roundtrip(self, spark, store):
+    def test_vids_are_record_versions(self, spark, store):
+        # Each stored record carries its chunk map entry: the sorted
+        # versions it belongs to (§2.4).
         g, ds, asg, st = store
-        one = int(asg["chunk"].iloc[0])
-        m = st.get_chunk_maps(spark, [one]).toPandas()
-        assert (m["chunk"] == one).all()
-        assert len(m) > 0
+        mem = membership_pd(g, ds.records, ds.kills)
+        want = {kv: sorted(grp.tolist())
+                for kv, grp in mem.groupby(["key", "origin"])["vid"]}
+        got = st.get_chunks(spark, sorted(asg["chunk"].unique().tolist())
+                            ).select("key", "origin", "vids").toPandas()
+        assert len(got) == ds.n_unique
+        for r in got.itertuples():
+            vids = [] if r.vids is None else [int(v) for v in r.vids]
+            assert vids == want.get((r.key, r.origin), [])
+
+    def test_one_file_per_chunk(self, store):
+        # One get is one object: the store's Parquet files sit one per
+        # chunk=<id> directory, and those are exactly the assigned chunks.
+        g, ds, asg, st = store
+        files = list(st.path.rglob("*.parquet"))
+        assert (sorted(int(f.parent.name.split("=")[1]) for f in files)
+                == sorted(asg["chunk"].unique()))
 
     def test_chunk_bytes_match_assignment(self, store):
         g, ds, asg, st = store

@@ -32,6 +32,14 @@ def engine(spark, tmp_path_factory):
     return g, ds, mem_p, asg, qe
 
 
+class TestStoreLayout:
+    def test_one_file_per_chunk(self, engine):
+        g, ds, mem_p, asg, qe = engine
+        files = list(qe.store.path.rglob("*.parquet"))
+        assert (sorted(int(f.parent.name.split("=")[1]) for f in files)
+                == sorted(asg["chunk"].unique()))
+
+
 class TestFullVersion:
     @pytest.mark.parametrize("vid", [0, 7, 24])
     def test_q1_matches_oracle(self, engine, vid):
