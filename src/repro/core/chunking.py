@@ -1,24 +1,19 @@
 """Fixed-size chunk packing (§2.5 'fixed chunk size assumption').
 
-All chunks are ~``C`` bytes with up to 25% overflow tolerated. Two
-packers:
-
-- :func:`pack_ordered` — driver-side sequential fill for an
-  already-ordered record stream. Supports the BOTTOM-UP discipline of
-  starting a fresh chunk at every *chunking step* (``group_ids``) and
-  merging the resulting partial chunks at the end (first-fit decreasing)
-  so total chunk count stays ≈ Σbytes / C.
-- :func:`pack_window` — Spark running-byte-sum window for ordered
-  DataFrames (SHINGLE's phase 2). The single-partition window is
-  deliberate: one row per distinct record is metadata-scale.
+All chunks are ~``C`` bytes with up to 25% overflow tolerated.
+:func:`pack_ordered` is the driver-side sequential fill for an
+already-ordered record stream, used by BOTTOM-UP, DFS, BFS and the §2.2
+baselines. It supports the BOTTOM-UP discipline of starting a fresh chunk
+at every *chunking step* (``group_ids``) and merging the resulting
+partial chunks at the end (first-fit decreasing) so total chunk count
+stays ≈ Σbytes / C. (SHINGLE's plain byte-sum cut is one line in
+:mod:`repro.core.shingle`.)
 """
 from __future__ import annotations
 
 from typing import Sequence
 
 import numpy as np
-from pyspark.sql import DataFrame, Window
-from pyspark.sql import functions as F
 
 OVERFLOW = 1.25  # chunks may exceed C by up to 25% (§2.5)
 
@@ -88,15 +83,3 @@ def pack_ordered(sizes: Sequence[int], C: int,
                            dtype=np.int64)
     return ids, next_id
 
-
-def pack_window(df: DataFrame, C: int, order_cols: list) -> DataFrame:
-    """Append a ``chunk`` column by running byte sum over ``order_cols``.
-
-    ``chunk = floor((cumsum - size) / C)`` puts each record in the chunk
-    covering the bytes before it; chunk sizes land in ``[C, C + max
-    record)`` which satisfies the ±25% tolerance for record ≪ C.
-    """
-    w = Window.orderBy(*order_cols).rowsBetween(Window.unboundedPreceding, 0)
-    return (df.withColumn("_cum", F.sum("size").over(w))
-              .withColumn("chunk", F.floor((F.col("_cum") - F.col("size")) / C))
-              .drop("_cum"))

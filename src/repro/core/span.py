@@ -3,17 +3,17 @@
 The *span of a query* is the number of chunks that must be retrieved to
 answer it. For a version-retrieval query that is the number of distinct
 chunks holding the version's records; the *total version span* sums this
-over all versions (Fig 8's metric). Key spans (distinct chunks per
-primary key) drive record-evolution (Q3) costs.
+over all versions (Fig 8's metric).
 
-Spark implementations join the membership relation with the partitioner's
-assignment; pandas twins serve driver-side tests and the online loop.
+Every partitioner's assignment is collected on the driver, so spans are
+evaluated in pandas by joining the membership relation with the
+assignment. :func:`assignment_df` lifts an assignment back into Spark
+for the index builder and the chunk store.
 """
 from __future__ import annotations
 
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
 _ASSIGN_SCHEMA = T.StructType([
@@ -30,28 +30,9 @@ def assignment_df(spark: SparkSession, assignment: pd.DataFrame) -> DataFrame:
         assignment[["key", "origin", "size", "chunk"]], schema=_ASSIGN_SCHEMA)
 
 
-def version_spans(membership: DataFrame, assignment: DataFrame) -> DataFrame:
-    """Per-version span: ``(vid, span)``."""
-    return (membership.join(assignment, ["key", "origin"])
-            .groupBy("vid")
-            .agg(F.countDistinct("chunk").alias("span")))
-
-
-def total_version_span(membership: DataFrame, assignment: DataFrame) -> int:
-    row = (version_spans(membership, assignment)
-           .agg(F.sum("span").alias("t")).collect()[0])
-    return int(row["t"])
-
-
-def key_spans(assignment: DataFrame) -> DataFrame:
-    """Distinct chunks per primary key: ``(key, span)`` (Q3 cost)."""
-    return (assignment.groupBy("key")
-            .agg(F.countDistinct("chunk").alias("span")))
-
-
 def version_spans_pd(membership: pd.DataFrame,
                      assignment: pd.DataFrame) -> pd.Series:
-    """Pandas twin of :func:`version_spans` for driver-side tests."""
+    """Per-version span: distinct chunks per ``vid``."""
     m = membership.merge(assignment, on=["key", "origin"])
     return m.groupby("vid")["chunk"].nunique()
 
@@ -59,8 +40,3 @@ def version_spans_pd(membership: pd.DataFrame,
 def total_version_span_pd(membership: pd.DataFrame,
                           assignment: pd.DataFrame) -> int:
     return int(version_spans_pd(membership, assignment).sum())
-
-
-def storage_chunks(assignment: pd.DataFrame) -> int:
-    """Number of chunks — the §2.5 storage-cost proxy."""
-    return int(assignment["chunk"].nunique())

@@ -15,6 +15,7 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from ..core.bottom_up import bottom_up_partition
+from ..core.span import total_version_span_pd
 from ..core.subchunks import (build_subchunks, compress_subchunks, sc_dataset,
                               shingle_subchunk_partition)
 from ..core.traversal import dfs_partition
@@ -23,12 +24,6 @@ from ..versioned.membership import membership_pd
 
 K_VALUES = (1, 2, 5, 10, 25, 50)
 P_D_VALUES = (0.10, 0.05, 0.01)
-
-
-def _record_span(mem_p, sc_assign, chunk_of_sc) -> int:
-    rec = sc_assign.merge(chunk_of_sc, on="sc")
-    return int(mem_p.merge(rec, on=["key", "origin"])
-               .groupby("vid")["chunk"].nunique().sum())
 
 
 def run_dataset(spark: SparkSession | None, name: str, *,
@@ -58,6 +53,7 @@ def run_dataset(spark: SparkSession | None, name: str, *,
                 rows.append({
                     "dataset": name, "p_d_pct": int(p_d * 100), "k": k,
                     "algorithm": algo, "compression_ratio": round(ratio, 2),
-                    "total_span": _record_span(mem_p, sc, chunk_of),
+                    "total_span": total_version_span_pd(
+                        mem_p, sc.merge(chunk_of, on="sc")),
                     "n_chunks": int(asg["chunk"].nunique())})
     return pd.DataFrame(rows)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
 from .graph import VersionGraph
@@ -65,9 +64,3 @@ def membership_pd(graph: VersionGraph, records: pd.DataFrame,
     return pd.DataFrame({"vid": vids, "key": keys, "origin": origins,
                          "size": szs}).astype("int64")
 
-
-def version_stats(membership: DataFrame) -> DataFrame:
-    """Per-version record count and logical bytes (Table 2 columns)."""
-    return membership.groupBy("vid").agg(
-        F.count("*").alias("n_records"),
-        F.sum("size").alias("bytes"))

@@ -7,8 +7,7 @@ from repro.core.baselines import (delta_partition, delta_total_span,
                                   delta_version_spans, random_partition,
                                   single_address_partition,
                                   subchunk_partition)
-from repro.core.span import (storage_chunks, total_version_span_pd,
-                             version_spans_pd)
+from repro.core.span import total_version_span_pd, version_spans_pd
 from repro.versioned.generator import generate
 from repro.versioned.graph import chain, random_tree
 from repro.versioned.membership import membership_pd
@@ -110,4 +109,4 @@ class TestDelta:
     def test_storage_chunks_at_least_one_per_nonempty_delta(self, gen):
         g, ds, mem = gen
         asg = delta_partition(g, ds.records, C=10**9)
-        assert storage_chunks(asg) == ds.records["origin"].nunique()
+        assert asg["chunk"].nunique() == ds.records["origin"].nunique()

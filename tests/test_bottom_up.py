@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.baselines import random_partition
 from repro.core.bottom_up import bottom_up_partition
-from repro.core.span import storage_chunks, total_version_span_pd
+from repro.core.span import total_version_span_pd
 from repro.versioned.generator import generate
 from repro.versioned.graph import chain, random_tree
 from repro.versioned.membership import membership_pd
@@ -89,7 +89,7 @@ class TestQuality:
         C = 800
         asg = bottom_up_partition(g, ds.records, ds.kills, C)
         lower = -(-int(ds.records["size"].sum()) // C)
-        assert storage_chunks(asg) <= 1.6 * lower + 1
+        assert asg["chunk"].nunique() <= 1.6 * lower + 1
 
 
 class TestBeta:

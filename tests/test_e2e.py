@@ -6,8 +6,7 @@ from repro.core.baselines import (delta_partition, delta_total_span,
                                   random_partition)
 from repro.core.bottom_up import bottom_up_partition
 from repro.core.shingle import shingle_partition
-from repro.core.span import (assignment_df, total_version_span,
-                             total_version_span_pd)
+from repro.core.span import total_version_span_pd
 from repro.core.subchunks import build_subchunks, compress_subchunks, sc_dataset
 from repro.core.traversal import bfs_partition, dfs_partition
 from repro.kvs.cost import SEC23_MODEL
@@ -36,7 +35,8 @@ class TestFig8Ordering:
                 mem_p, bottom_up_partition(g, ds.records, ds.kills, C)),
             "dfs": total_version_span_pd(mem_p, dfs_partition(g, ds.records, C)),
             "bfs": total_version_span_pd(mem_p, bfs_partition(g, ds.records, C)),
-            "shingle": total_version_span(mem_s, shingle_partition(mem_s, C)),
+            "shingle": total_version_span_pd(
+                mem_p, shingle_partition(mem_s, C).toPandas()),
             "delta": delta_total_span(
                 g, delta_partition(g, ds.records, C)),
             "random": total_version_span_pd(

@@ -6,7 +6,7 @@ from repro.oracle import assert_equivalent
 from repro.versioned.generator import generate
 from repro.versioned.graph import chain, random_tree
 from repro.versioned.membership import (closure_df, membership_pd,
-                                        membership_spark, version_stats)
+                                        membership_spark)
 
 from tests.paper_examples import example2
 
@@ -61,20 +61,6 @@ class TestOracle:
         mem = membership_spark(spark, g, rdf, kdf)
         assert_equivalent(
             mem.select("vid", "key", "origin", "size"), MEMBERSHIP_SQL,
-            records=ds.records[["key", "origin", "size"]],
-            kills=ds.kills, closure=g.descendants_pairs())
-
-    def test_version_stats_against_duckdb(self, spark, tree_ds):
-        g, ds = tree_ds
-        rdf, kdf = _spark_inputs(spark, g, ds)
-        mem = membership_spark(spark, g, rdf, kdf)
-        sql = f"""
-        WITH member AS ({MEMBERSHIP_SQL})
-        SELECT vid, count(*) AS n_records, sum(size) AS bytes
-        FROM member GROUP BY vid
-        """
-        assert_equivalent(
-            version_stats(mem), sql,
             records=ds.records[["key", "origin", "size"]],
             kills=ds.kills, closure=g.descendants_pairs())
 

@@ -1,11 +1,9 @@
 """Tests for the Spark SHINGLE partitioner (§3.1)."""
 import pytest
-from pyspark.sql import functions as F
 
 from repro.core.baselines import random_partition
 from repro.core.shingle import shingle_partition
-from repro.core.span import (assignment_df, total_version_span,
-                             total_version_span_pd)
+from repro.core.span import total_version_span_pd
 from repro.versioned.generator import generate
 from repro.versioned.graph import chain, random_tree
 from repro.versioned.membership import membership_pd, membership_spark
@@ -28,12 +26,21 @@ class TestCorrectness:
         assert asg.select("key", "origin").distinct().count() == ds.n_unique
 
     def test_chunk_sizes_bounded(self, spark, deep_tree):
+        # Running byte-sum rule: ids dense from 0, every chunk but the
+        # last filled to at least C, none past C + the largest record.
         g, ds, mem_s = deep_tree
-        asg = shingle_partition(mem_s, C=800)
-        fills = (asg.groupBy("chunk").agg(F.sum("size").alias("b"))
-                 .agg(F.max("b")).collect()[0][0])
-        max_rec = int(ds.records["size"].max())
-        assert fills <= 800 + max_rec
+        asg = shingle_partition(mem_s, C=800).toPandas()
+        fills = asg.groupby("chunk")["size"].sum().sort_index()
+        assert fills.index.tolist() == list(range(len(fills)))
+        assert len(fills) > 1
+        assert (fills.iloc[:-1] >= 800).all()
+        assert fills.max() <= 800 + int(ds.records["size"].max())
+
+    def test_empty_membership(self, spark, deep_tree):
+        g, ds, mem_s = deep_tree
+        asg = shingle_partition(mem_s.limit(0), C=800)
+        assert asg.columns == ["key", "origin", "size", "chunk"]
+        assert asg.count() == 0
 
     def test_identical_version_sets_are_adjacent(self, spark):
         # Records born and dying together share shingles, hence chunks.
@@ -65,8 +72,9 @@ class TestQuality:
     def test_beats_random_on_deep_tree(self, spark, deep_tree):
         # §5.2: SHINGLE performs well when version trees are deep.
         g, ds, mem_s = deep_tree
-        sh_span = total_version_span(mem_s, shingle_partition(mem_s, C=800))
         mem_p = membership_pd(g, ds.records, ds.kills)
+        sh_span = total_version_span_pd(
+            mem_p, shingle_partition(mem_s, C=800).toPandas())
         rnd_span = total_version_span_pd(
             mem_p, random_partition(ds.records, C=800, seed=3))
         assert sh_span < rnd_span

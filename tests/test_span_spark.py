@@ -1,64 +1,31 @@
-"""Spark span evaluation vs pandas twin and the DuckDB oracle."""
+"""Span evaluation against the DuckDB oracle."""
 import pytest
 
-from repro.core.baselines import random_partition
 from repro.core.bottom_up import bottom_up_partition
-from repro.core.span import (assignment_df, key_spans, total_version_span,
-                             total_version_span_pd, version_spans,
-                             version_spans_pd)
+from repro.core.span import version_spans_pd
 from repro.oracle import assert_equivalent
 from repro.versioned.generator import generate
 from repro.versioned.graph import random_tree
-from repro.versioned.membership import membership_pd, membership_spark
+from repro.versioned.membership import membership_pd
 
 
 @pytest.fixture(scope="module")
-def built(spark):
+def built():
     g = random_tree(25, deepen_prob=0.85, seed=13)
     ds = generate(g, n_base=60, pct_update=15, seed=5)
-    mem_s = membership_spark(spark, g, ds.spark_records(spark),
-                             ds.spark_kills(spark)).cache()
     mem_p = membership_pd(g, ds.records, ds.kills)
     asg = bottom_up_partition(g, ds.records, ds.kills, C=600)
-    return g, ds, mem_s, mem_p, asg
-
-
-class TestSparkVsPandas:
-    def test_total_span_matches(self, spark, built):
-        g, ds, mem_s, mem_p, asg = built
-        assert total_version_span(mem_s, assignment_df(spark, asg)) == \
-            total_version_span_pd(mem_p, asg)
-
-    def test_per_version_spans_match(self, spark, built):
-        g, ds, mem_s, mem_p, asg = built
-        got = (version_spans(mem_s, assignment_df(spark, asg)).toPandas()
-               .set_index("vid")["span"].sort_index())
-        exp = version_spans_pd(mem_p, asg).sort_index()
-        assert (got.to_numpy() == exp.to_numpy()).all()
-
-    def test_random_layout_spans_match_too(self, spark, built):
-        g, ds, mem_s, mem_p, _ = built
-        rnd = random_partition(ds.records, C=600, seed=2)
-        assert total_version_span(mem_s, assignment_df(spark, rnd)) == \
-            total_version_span_pd(mem_p, rnd)
+    return mem_p, asg
 
 
 class TestOracle:
     def test_version_spans_against_duckdb(self, spark, built):
-        g, ds, mem_s, mem_p, asg = built
+        mem_p, asg = built
         sql = """
         SELECT m.vid AS vid, count(DISTINCT a.chunk) AS span
         FROM member m JOIN assign a ON m.key = a.key AND m.origin = a.origin
         GROUP BY m.vid
         """
-        assert_equivalent(
-            version_spans(mem_s, assignment_df(spark, asg)), sql,
-            member=mem_p, assign=asg)
-
-    def test_key_spans_against_duckdb(self, spark, built):
-        g, ds, mem_s, mem_p, asg = built
-        sql = """
-        SELECT key, count(DISTINCT chunk) AS span FROM assign GROUP BY key
-        """
-        assert_equivalent(key_spans(assignment_df(spark, asg)), sql,
-                          assign=asg)
+        got = version_spans_pd(mem_p, asg).rename("span").reset_index()
+        assert_equivalent(spark.createDataFrame(got), sql,
+                          member=mem_p, assign=asg)
