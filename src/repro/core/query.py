@@ -9,17 +9,20 @@ queries AND the two projections (index-ANDing), so a planned chunk may
 turn out to hold no matching record — the lossy-projection artifact the
 paper notes. The Fig 11/12 experiments stop at the plan;
 :class:`QueryEngine` also fetches the planned chunks from the
-:class:`~repro.kvs.store.ChunkStore` with one get (request/byte traffic
-is accounted there). Each stored record carries its chunk map entry, the
-sorted ``vids`` it belongs to, so extracting exactly the requested
-records is a filter over the fetched rows.
+:class:`~repro.kvs.store.ChunkStore` with one get, an Arrow read of their
+files (request/byte traffic is accounted there). Each stored record
+carries its chunk map entry, the sorted ``vids`` it belongs to, so
+extracting exactly the requested records is an Arrow filter over the
+fetched rows: a match in the flattened ``vids`` and a test on ``key``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from pyspark.sql import Column, DataFrame, SparkSession
-from pyspark.sql import functions as F
+import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
+from pyspark.sql import SparkSession
 
 from ..kvs.cost import CostModel, QUERY_MODEL
 from ..kvs.store import ChunkStore
@@ -74,11 +77,31 @@ def plan_record(indexes: IndexSet, key: int, vid: int,
     return _charge(indexes, ids, cost)
 
 
+COLUMNS = ["key", "origin", "size", "payload"]  # a query's output
+
+
+@dataclass(frozen=True)
+class Rows:
+    """A query's records: an Arrow table of :data:`COLUMNS`."""
+
+    table: pa.Table
+
+    def toPandas(self) -> pd.DataFrame:
+        return self.table.to_pandas()
+
+
+def _in_version(t: pa.Table, vid: int) -> pa.Table:
+    """The rows whose ``vids`` hold ``vid`` (each holds it at most once)."""
+    hit = pc.equal(pc.list_flatten(t["vids"]), vid)
+    return t.take(pc.filter(pc.list_parent_indices(t["vids"]), hit))
+
+
 class QueryEngine:
     """RStore's query processing module over a populated ChunkStore.
 
-    Every method returns ``(DataFrame, QueryStats)`` where the stats are
-    the plan's: span, bytes moved and the calibrated simulated time.
+    Every method returns ``(Rows, QueryStats)`` where the stats are the
+    plan's: span, bytes moved and the calibrated simulated time. ``spark``
+    is handed to the store's get, which does not use it.
     """
 
     def __init__(self, spark: SparkSession, store: ChunkStore,
@@ -88,30 +111,36 @@ class QueryEngine:
         self.indexes = indexes
         self.cost = cost
 
-    def _get(self, ids: list[int], wanted: Column) -> DataFrame:
-        return (self.store.get_chunks(self.spark, ids).where(wanted)
-                .select("key", "origin", "size", "payload"))
+    def _get(self, ids: list[int], vid: int | None = None,
+             keys: tuple[int, int] | None = None) -> Rows:
+        """Get ``ids``; keep the rows of ``vid`` whose ``key`` lies in the
+        inclusive range ``keys`` (either test is skipped when not given)."""
+        t = self.store.get_chunks(self.spark, ids)
+        if keys is not None:
+            k = t["key"]
+            t = t.filter(pc.and_(pc.greater_equal(k, keys[0]),
+                                 pc.less_equal(k, keys[1])))
+        if vid is not None:
+            t = _in_version(t, vid)
+        return Rows(t.select(COLUMNS))
 
-    def full_version(self, vid: int) -> tuple[DataFrame, QueryStats]:
+    def full_version(self, vid: int) -> tuple[Rows, QueryStats]:
         """Q1: all records belonging to version ``vid``."""
         ids, stats = plan_full_version(self.indexes, vid, self.cost)
-        return self._get(ids, F.array_contains("vids", vid)), stats
+        return self._get(ids, vid), stats
 
     def range_query(self, vid: int, key_lo: int,
-                    key_hi: int) -> tuple[DataFrame, QueryStats]:
+                    key_hi: int) -> tuple[Rows, QueryStats]:
         """Q2: records of ``vid`` with ``key_lo <= key <= key_hi``."""
         ids, stats = plan_range(self.indexes, vid, key_lo, key_hi, self.cost)
-        wanted = (F.array_contains("vids", vid)
-                  & F.col("key").between(key_lo, key_hi))
-        return self._get(ids, wanted), stats
+        return self._get(ids, vid, (key_lo, key_hi)), stats
 
-    def record_evolution(self, key: int) -> tuple[DataFrame, QueryStats]:
+    def record_evolution(self, key: int) -> tuple[Rows, QueryStats]:
         """Q3: every distinct record ever stored under ``key``."""
         ids, stats = plan_evolution(self.indexes, key, self.cost)
-        return self._get(ids, F.col("key") == key), stats
+        return self._get(ids, keys=(key, key)), stats
 
-    def record(self, key: int, vid: int) -> tuple[DataFrame, QueryStats]:
+    def record(self, key: int, vid: int) -> tuple[Rows, QueryStats]:
         """Point query: the record of ``key`` live in version ``vid``."""
         ids, stats = plan_record(self.indexes, key, vid, self.cost)
-        wanted = F.array_contains("vids", vid) & (F.col("key") == key)
-        return self._get(ids, wanted), stats
+        return self._get(ids, vid, (key, key)), stats

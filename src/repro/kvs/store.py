@@ -1,39 +1,61 @@
 """ChunkStore: the simulated distributed KVS (DESIGN §2).
 
-Chunks are the unit of storage (§2.4). The store is one Parquet dataset
-partitioned by ``chunk`` and written so that each chunk is exactly one
-file: a chunk-id lookup is a partition-pruned scan, the columnar analogue
-of a KVS ``get``. The per-chunk *chunk map* (which versions each record in
-the chunk belongs to) lives in the chunk's own rows, as the paper stores
-it alongside the chunk: every record carries its sorted ``vids``, so one
-get returns both and extracting a version's records is a filter. Chunks
-are distributed over ``n_nodes`` simulated servers by ``chunk % n_nodes``;
-every ``get_chunks`` records request/byte traffic so experiments can
-charge the calibrated :class:`~repro.kvs.cost.CostModel`.
+Chunks are the unit of storage (§2.4). Spark writes the store as one
+Parquet dataset partitioned by ``chunk``, so that each chunk is exactly
+one file: one object per key, as in a KVS. The per-chunk *chunk map*
+(which versions each record in the chunk belongs to) lives in the chunk's
+own rows, as the paper stores it alongside the chunk: every record carries
+its sorted ``vids``, so one get returns both and extracting a version's
+records is a filter. A get is a KVS point operation, not a distributed
+job: ``get_chunks`` reads exactly the requested chunks' files with Arrow,
+one after another, from the file table the write recorded. Chunks are
+distributed over ``n_nodes`` simulated servers by ``chunk % n_nodes``;
+every get records request/byte traffic so experiments can charge the
+calibrated :class:`~repro.kvs.cost.CostModel`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import pyarrow as pa
+import pyarrow.compute as pc
+import pyarrow.parquet as pq
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
+from pyspark.sql.pandas.types import to_arrow_schema
 
 
 @dataclass
 class KVSStats:
-    """Cumulative traffic counters for one store instance."""
+    """Cumulative traffic counters for one store instance.
+
+    ``n_bytes`` counts the user bytes of the fetched chunks (what the
+    cost model charges); ``n_object_bytes`` counts the bytes of the chunk
+    objects actually read, the ``vids`` column and Parquet overhead
+    included.
+    """
 
     n_requests: int = 0
     n_bytes: int = 0
+    n_object_bytes: int = 0
     per_node_requests: dict = field(default_factory=dict)
 
-    def record(self, chunk_ids, chunk_bytes: dict, n_nodes: int) -> None:
+    def record(self, chunk_ids, chunk_bytes: dict, n_nodes: int,
+               object_bytes: dict | None = None) -> None:
         for cid in chunk_ids:
             self.n_requests += 1
             self.n_bytes += chunk_bytes.get(int(cid), 0)
+            self.n_object_bytes += (object_bytes or {}).get(int(cid), 0)
             node = int(cid) % n_nodes
             self.per_node_requests[node] = self.per_node_requests.get(node, 0) + 1
+
+
+def _read(path: str, columns: list[str] | None = None) -> pa.Table:
+    # One chunk file is ~10 KB: decoding its columns on Arrow's thread pool
+    # costs more than it saves.
+    with pq.ParquetFile(path) as f:
+        return f.read(columns=columns, use_threads=False)
 
 
 class ChunkStore:
@@ -44,6 +66,9 @@ class ChunkStore:
         self.n_nodes = n_nodes
         self.stats = KVSStats()
         self._chunk_bytes: dict[int, int] = {}
+        self._files: dict[int, str] = {}
+        self._object_bytes: dict[int, int] = {}
+        self._schema: pa.Schema | None = None
 
     @property
     def records_path(self) -> str:
@@ -52,7 +77,9 @@ class ChunkStore:
     def write(self, records_with_chunk: DataFrame,
               chunk_map: DataFrame) -> None:
         """Write each chunk as one file of rows ``(key, origin, size,
-        payload?, vids)``.
+        payload?, vids)``, then record, from the files written, each
+        chunk's file, its user bytes, its size on disk and the store's
+        Arrow schema.
 
         ``records_with_chunk``: (key, origin, size, payload?, chunk).
         ``chunk_map``: (chunk, vid, key, origin) — the per-chunk slice of
@@ -61,22 +88,39 @@ class ChunkStore:
         """
         vids = (chunk_map.groupBy("key", "origin")
                 .agg(F.array_sort(F.collect_list("vid")).alias("vids")))
-        (records_with_chunk.join(vids, ["key", "origin"], "left")
-         .repartition("chunk").write.mode("overwrite")
+        rows = records_with_chunk.join(vids, ["key", "origin"], "left")
+        (rows.repartition("chunk").write.mode("overwrite")
          .partitionBy("chunk").parquet(self.records_path))
-        sizes = (records_with_chunk.groupBy("chunk")
-                 .agg(F.sum("size").alias("bytes")).collect())
-        self._chunk_bytes = {int(r["chunk"]): int(r["bytes"]) for r in sizes}
+        files = sorted(Path(self.records_path).glob("chunk=*/*.parquet"))
+        self._files = {int(f.parent.name.removeprefix("chunk=")): str(f)
+                       for f in files}
+        if len(self._files) != len(files):
+            raise RuntimeError("a chunk was written as more than one file")
+        self._chunk_bytes = {c: pc.sum(_read(f, ["size"])["size"]).as_py()
+                             for c, f in self._files.items()}
+        self._object_bytes = {c: Path(f).stat().st_size
+                              for c, f in self._files.items()}
+        self._schema = (pq.read_schema(files[0]) if files
+                        else to_arrow_schema(rows.drop("chunk").schema))
 
     def chunk_bytes(self) -> dict[int, int]:
         return dict(self._chunk_bytes)
 
-    def get_chunks(self, spark: SparkSession, chunk_ids) -> DataFrame:
-        """Fetch chunks by id (partition-pruned read); account traffic."""
+    def get_chunks(self, spark: SparkSession, chunk_ids) -> pa.Table:
+        """Fetch chunks by id: read exactly their files, one after another,
+        and account the traffic. Returns one Arrow table of ``(key, origin,
+        size, payload?, vids)``. ``spark`` is unused; a get runs no Spark
+        job. Raises ``KeyError`` naming any id the store does not hold.
+        """
         ids = [int(c) for c in chunk_ids]
-        self.stats.record(ids, self._chunk_bytes, self.n_nodes)
-        df = spark.read.parquet(self.records_path)
-        return df.where(F.col("chunk").isin(ids))
+        missing = [c for c in ids if c not in self._files]
+        if missing:
+            raise KeyError(f"chunks not in the store: {missing}")
+        self.stats.record(ids, self._chunk_bytes, self.n_nodes,
+                          self._object_bytes)
+        if not ids:
+            return self._schema.empty_table()
+        return pa.concat_tables([_read(self._files[c]) for c in ids])
 
     def reset_stats(self) -> None:
         self.stats = KVSStats()

@@ -1,19 +1,27 @@
 """DuckDB correctness oracle.
 
-``assert_equivalent(spark_df, sql, **tables)`` runs ``sql`` in DuckDB
-over ``tables`` and asserts the sorted rows match ``spark_df`` (the
-Spark result). This catches wrong results from a rewritten plan or a
-custom operator — "it ran" is not "it is correct".
+``assert_equivalent(result, sql, **tables)`` runs ``sql`` in DuckDB
+over ``tables`` and asserts the sorted rows match ``result``: any object
+with a ``toPandas()`` method, such as a Spark DataFrame or the engine's
+:class:`~repro.core.query.Rows`. This catches wrong results from a
+rewritten plan or a custom operator — "it ran" is not "it is correct".
 
-``tables`` may be Spark or pandas DataFrames; Spark inputs are
-collected via ``.toPandas()``. Alias every output column identically
-on both sides (Spark names ``count(*)`` as ``count(1)``, DuckDB as
-``count_star()``) and project to scalar columns — array/map/struct
-columns are not orderable so cannot be compared here.
+``tables`` may be pandas DataFrames or anything with ``toPandas()``
+(collected first). Alias every output column identically on both sides
+(Spark names ``count(*)`` as ``count(1)``, DuckDB as ``count_star()``)
+and project to scalar columns — array/map/struct columns are not
+orderable so cannot be compared here.
 """
+from typing import Protocol
+
 import duckdb
 import pandas as pd
-from pyspark.sql import DataFrame
+
+
+class ToPandas(Protocol):
+    """A query result: a Spark DataFrame, the engine's ``Rows``, …"""
+
+    def toPandas(self) -> pd.DataFrame: ...
 
 
 def _canon(pdf: pd.DataFrame) -> pd.DataFrame:
@@ -25,15 +33,20 @@ def _canon(pdf: pd.DataFrame) -> pd.DataFrame:
     return pdf.sort_values(list(pdf.columns)).reset_index(drop=True)
 
 
-def assert_equivalent(spark_df: DataFrame, sql: str, **tables) -> None:
+def _pandas(t: ToPandas | pd.DataFrame) -> pd.DataFrame:
+    return t if isinstance(t, pd.DataFrame) else t.toPandas()
+
+
+def assert_equivalent(result: ToPandas | pd.DataFrame, sql: str,
+                      **tables) -> None:
     con = duckdb.connect()
     try:
         for name, t in tables.items():
-            con.register(name, t.toPandas() if isinstance(t, DataFrame) else t)
+            con.register(name, _pandas(t))
         expected = con.execute(sql).fetchdf()
     finally:
         con.close()
-    got = spark_df.toPandas()
+    got = _pandas(result)
     assert set(expected.columns) == set(got.columns), (
         f"column mismatch: {sorted(got.columns)} vs {sorted(expected.columns)} "
         "— alias every output column identically on both sides"

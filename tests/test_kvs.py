@@ -1,4 +1,7 @@
 """Tests for the simulated KVS substrate (ChunkStore + accounting)."""
+from pathlib import Path
+
+import pyarrow.parquet as pq
 import pytest
 from pyspark.sql import functions as F
 
@@ -38,12 +41,12 @@ class TestWriteRead:
         g, ds, asg, st = store
         all_ids = sorted(asg["chunk"].unique().tolist())
         got = st.get_chunks(spark, all_ids)
-        assert got.count() == ds.n_unique
+        assert got.num_rows == ds.n_unique
 
     def test_partition_pruning_returns_subset(self, spark, store):
         g, ds, asg, st = store
         one = int(asg["chunk"].iloc[0])
-        got = st.get_chunks(spark, [one]).toPandas()
+        got = st.get_chunks(spark, [one]).to_pandas()
         exp = asg[asg["chunk"] == one]
         assert set(zip(got.key, got.origin)) == set(zip(exp.key, exp.origin))
 
@@ -55,7 +58,7 @@ class TestWriteRead:
         want = {kv: sorted(grp.tolist())
                 for kv, grp in mem.groupby(["key", "origin"])["vid"]}
         got = st.get_chunks(spark, sorted(asg["chunk"].unique().tolist())
-                            ).select("key", "origin", "vids").toPandas()
+                            ).select(["key", "origin", "vids"]).to_pandas()
         assert len(got) == ds.n_unique
         for r in got.itertuples():
             vids = [] if r.vids is None else [int(v) for v in r.vids]
@@ -68,6 +71,48 @@ class TestWriteRead:
         files = list(st.path.rglob("*.parquet"))
         assert (sorted(int(f.parent.name.split("=")[1]) for f in files)
                 == sorted(asg["chunk"].unique()))
+
+    def test_get_opens_only_requested_files(self, spark, store, monkeypatch):
+        # Pruning, proven: a get opens exactly the requested chunks' files.
+        g, ds, asg, st = store
+        opened = []
+        real = pq.ParquetFile
+
+        def spy(path, *args, **kwargs):
+            opened.append(path)
+            return real(path, *args, **kwargs)
+
+        monkeypatch.setattr(pq, "ParquetFile", spy)
+        ids = sorted(asg["chunk"].unique().tolist())[1::3]
+        got = st.get_chunks(spark, ids)
+        chunks = sorted(int(Path(p).parent.name.split("=")[1]) for p in opened)
+        assert chunks == ids
+        assert got.num_rows == int(asg["chunk"].isin(ids).sum())
+
+    def test_get_of_unknown_chunk_names_it(self, spark, store):
+        g, ds, asg, st = store
+        absent = int(asg["chunk"].max()) + 7
+        with pytest.raises(KeyError, match=str(absent)):
+            st.get_chunks(spark, [int(asg["chunk"].iloc[0]), absent])
+
+    def test_empty_get_has_store_schema(self, spark, store):
+        g, ds, asg, st = store
+        got = st.get_chunks(spark, [])
+        one = st.get_chunks(spark, [int(asg["chunk"].iloc[0])])
+        assert got.num_rows == 0 and got.schema == one.schema
+
+    def test_empty_store_serves_empty_gets(self, spark, store, tmp_path):
+        g, ds, asg, st = store
+        rdf = ds.spark_records(spark).limit(0)
+        empty = ChunkStore(tmp_path / "empty")
+        no_map = spark.createDataFrame(
+            [], "chunk long, vid long, key long, origin long")
+        empty.write(rdf.withColumn("chunk", F.lit(0).cast("long")), no_map)
+        got = empty.get_chunks(spark, [])
+        assert got.num_rows == 0
+        assert got.column_names == ["key", "origin", "size", "payload", "vids"]
+        with pytest.raises(KeyError, match="0"):
+            empty.get_chunks(spark, [0])
 
     def test_chunk_bytes_match_assignment(self, store):
         g, ds, asg, st = store
@@ -85,6 +130,18 @@ class TestAccounting:
         exp_bytes = int(asg[asg["chunk"].isin(ids)]["size"].sum())
         assert st.stats.n_bytes == exp_bytes
 
+    def test_object_bytes_are_file_sizes(self, spark, store):
+        # n_bytes stays user bytes (the cost model's charge); n_object_bytes
+        # is what the get read from disk: the chunk files, vids included.
+        g, ds, asg, st = store
+        st.reset_stats()
+        ids = sorted(asg["chunk"].unique().tolist())[:3]
+        st.get_chunks(spark, ids)
+        on_disk = sum(f.stat().st_size for c in ids for f in
+                      Path(st.records_path, f"chunk={c}").glob("*.parquet"))
+        assert st.stats.n_object_bytes == on_disk
+        assert st.stats.n_object_bytes >= st.stats.n_bytes > 0
+
     def test_per_node_distribution(self, spark, store):
         g, ds, asg, st = store
         st.reset_stats()
@@ -97,4 +154,7 @@ class TestAccounting:
         s = KVSStats()
         s.record([0, 1, 5], {0: 10, 1: 20, 5: 30}, n_nodes=2)
         assert s.n_requests == 3 and s.n_bytes == 60
+        assert s.n_object_bytes == 0
         assert s.per_node_requests == {0: 1, 1: 2}
+        s.record([1], {1: 20}, n_nodes=2, object_bytes={1: 70})
+        assert s.n_bytes == 80 and s.n_object_bytes == 70

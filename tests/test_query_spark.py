@@ -1,11 +1,12 @@
 """End-to-end query-processing tests (§2.4) against the DuckDB oracle."""
 import numpy as np
+import pandas as pd
 import pytest
 
 from repro.core.bottom_up import bottom_up_partition
 from repro.core.indexes import build_indexes, chunk_map_df
-from repro.core.query import (QueryEngine, plan_evolution, plan_full_version,
-                              plan_range, plan_record)
+from repro.core.query import (COLUMNS, QueryEngine, plan_evolution,
+                              plan_full_version, plan_range, plan_record)
 from repro.core.span import assignment_df
 from repro.kvs.cost import CostModel
 from repro.kvs.store import ChunkStore
@@ -117,7 +118,61 @@ class TestPoint:
         if not dead:
             pytest.skip("no deleted keys in generated data")
         out, _ = qe.record(int(sorted(dead)[0]), g.n - 1)
-        assert out.count() == 0
+        assert len(out.toPandas()) == 0
+
+
+class TestRandomized:
+    """Seeded random Q1/Q2/Q3/point queries against a pandas oracle built
+    from exact membership ⋈ records."""
+
+    N = 240
+
+    @staticmethod
+    def _canon(df):
+        out = df[COLUMNS].astype({"key": "int64", "origin": "int64",
+                                  "size": "int64"})
+        return out.sort_values(["key", "origin"]).reset_index(drop=True)
+
+    def _check(self, out, want):
+        got = out.toPandas()
+        assert list(got.columns) == COLUMNS
+        pd.testing.assert_frame_equal(self._canon(got), self._canon(want))
+
+    def test_random_queries_match_oracle(self, engine):
+        g, ds, mem_p, asg, qe = engine
+        rec = ds.records[COLUMNS]
+        live = mem_p[["vid", "key", "origin"]].merge(rec, on=["key", "origin"])
+        top = int(rec["key"].max())
+        rng = np.random.default_rng(11)
+        kinds = rng.choice(["q1", "q2", "q3", "point"], size=self.N)
+        for kind in kinds:
+            vid = int(rng.integers(g.n))
+            v = live[live.vid == vid]
+            if kind == "q1":
+                out, _ = qe.full_version(vid)
+                want = v
+            elif kind == "q2":
+                lo = int(rng.integers(0, top + 1))
+                hi = lo + int(rng.integers(0, top // 4 + 1))
+                out, _ = qe.range_query(vid, lo, hi)
+                want = v[v.key.between(lo, hi)]
+            elif kind == "q3":
+                key = int(rng.integers(0, top + 2))  # top + 1 was never used
+                out, _ = qe.record_evolution(key)
+                want = rec[rec.key == key]
+            else:
+                key = int(rng.integers(0, top + 1))  # live in vid or not
+                out, _ = qe.record(key, vid)
+                want = v[v.key == key]
+            self._check(out, want)
+
+    def test_empty_q2_plan_returns_no_rows(self, engine):
+        g, ds, mem_p, asg, qe = engine
+        top = int(ds.records["key"].max())
+        out, stats = qe.range_query(0, top + 1, top + 10)
+        assert stats.span == 0
+        got = out.toPandas()
+        assert len(got) == 0 and list(got.columns) == COLUMNS
 
 
 class TestPlanner:
