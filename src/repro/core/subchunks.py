@@ -33,72 +33,105 @@ from .shingle import shingle_partition
 def build_subchunks(graph, records: pd.DataFrame, k: int) -> pd.DataFrame:
     """Phase 1: assign every record to a sub-chunk.
 
-    Returns ``(key, origin, sc)`` with ``sc`` a dense int id. ``k=1``
-    degenerates to one record per sub-chunk (no compression, §2.5).
+    Returns ``(key, origin, sc)`` with ``sc`` a dense int id in emission
+    order. ``k=1`` degenerates to one record per sub-chunk (no
+    compression, §2.5).
+
+    Every pending group list totals at most ``k - 1`` records, so a key
+    whose groups arrive from a single child and that has no record at
+    ``v`` passes up unchanged. Only the *touched* keys — those with a
+    record originated at ``v`` and those arriving from two or more
+    children — are examined at ``v``, in the pending dict's order, which
+    fixes the order of emissions and so the sub-chunk ids.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    rec_keys = list(zip(records["key"].astype(int), records["origin"].astype(int)))
+    keys = records["key"].to_numpy(np.int64)
+    origins = records["origin"].to_numpy(np.int64)
     if k == 1:
-        return pd.DataFrame({
-            "key": [r[0] for r in rec_keys],
-            "origin": [r[1] for r in rec_keys],
-            "sc": np.arange(len(rec_keys), dtype=np.int64)})
+        return pd.DataFrame({"key": keys, "origin": origins,
+                             "sc": np.arange(len(keys), dtype=np.int64)})
 
-    origin_keys: dict[int, list[int]] = defaultdict(list)
-    exists = set(rec_keys)
-    for key, origin in rec_keys:
+    origin_keys: list[list[int]] = [[] for _ in range(graph.n)]
+    for key, origin in zip(keys.tolist(), origins.tolist()):
         origin_keys[origin].append(key)
 
-    sc_of: dict[tuple[int, int], int] = {}
-    next_sc = [0]
+    # Emitted sub-chunks in id order: their key, size and member origins.
+    sc_keys: list[int] = []
+    sc_sizes: list[int] = []
+    sc_origins: list[int] = []
 
-    def _emit(key: int, origins) -> None:
-        sc = next_sc[0]
-        next_sc[0] += 1
-        for o in origins:
-            sc_of[(key, o)] = sc
+    def _emit(key: int, group: set) -> None:
+        sc_keys.append(key)
+        sc_sizes.append(len(group))
+        sc_origins.extend(group)
 
     # pending[v]: key -> list of origin-sets awaiting an ancestor record.
     pending: dict[int, dict[int, list[set]]] = {}
     for v in graph.postorder():
-        mine: dict[int, list[set]] = defaultdict(list)
-        for c in graph.children[v]:
+        children = graph.children[v]
+        # The first child's dict is reused in place; merging the others
+        # appends their new keys in order, as a fresh dict would.
+        mine = pending.pop(children[0]) if children else {}
+        here = set(origin_keys[v])
+        touched = set(here)
+        for c in children[1:]:
             for key, sets in pending.pop(c).items():
-                mine[key].extend(sets)
-        for key in origin_keys.get(v, []):
-            mine.setdefault(key, [])
-        out: dict[int, list[set]] = {}
-        for key, csets in mine.items():
-            if (key, v) in exists:
-                total = sum(len(s) for s in csets) + 1
-                while total > k and csets:
-                    largest = max(csets, key=len)
-                    csets.remove(largest)
-                    _emit(key, largest)
-                    total -= len(largest)
-                merged = set().union(*csets) if csets else set()
-                merged.add(v)
-                if len(merged) == k:
-                    _emit(key, merged)
+                have = mine.get(key)
+                if have is None:
+                    mine[key] = sets
                 else:
-                    out[key] = [merged]
-            else:
-                while sum(len(s) for s in csets) > k - 1 and len(csets) > 1:
-                    largest = max(csets, key=len)
-                    csets.remove(largest)
-                    _emit(key, largest)
-                if csets and sum(len(s) for s in csets) > k - 1:
-                    _emit(key, csets.pop())
-                if csets:
-                    out[key] = csets
-        pending[v] = out
+                    have.extend(sets)
+                    touched.add(key)
+        for key in origin_keys[v]:
+            mine.setdefault(key, [])
+        if touched:
+            for key in [q for q in mine if q in touched]:
+                csets = mine[key]
+                if key in here:
+                    total = sum(len(s) for s in csets) + 1
+                    while total > k and csets:
+                        largest = max(csets, key=len)
+                        csets.remove(largest)
+                        _emit(key, largest)
+                        total -= len(largest)
+                    merged = set().union(*csets) if csets else set()
+                    merged.add(v)
+                    if len(merged) == k:
+                        _emit(key, merged)
+                        del mine[key]
+                    else:
+                        mine[key] = [merged]
+                else:
+                    while sum(len(s) for s in csets) > k - 1 and len(csets) > 1:
+                        largest = max(csets, key=len)
+                        csets.remove(largest)
+                        _emit(key, largest)
+                    if csets and sum(len(s) for s in csets) > k - 1:
+                        _emit(key, csets.pop())
+                    if not csets:
+                        del mine[key]
+        pending[v] = mine
     for key, sets in pending.pop(0).items():
         for s in sets:
             _emit(key, s)
 
-    rows = [(key, o, sc) for (key, o), sc in sc_of.items()]
-    return pd.DataFrame(rows, columns=["key", "origin", "sc"]).astype("int64")
+    return pd.DataFrame({
+        "key": np.repeat(np.array(sc_keys, dtype=np.int64), sc_sizes),
+        "origin": np.array(sc_origins, dtype=np.int64),
+        "sc": np.repeat(np.arange(len(sc_keys), dtype=np.int64), sc_sizes)})
+
+
+def _runs(sorted_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(starts, ends)`` of each run of equal values in a sorted array.
+
+    An empty array has no runs; ``np.add.reduceat`` rejects the start 0
+    that the general formula would give it.
+    """
+    if not len(sorted_ids):
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    starts = np.flatnonzero(np.r_[True, sorted_ids[1:] != sorted_ids[:-1]])
+    return starts, np.r_[starts[1:], len(sorted_ids)]
 
 
 def compress_subchunks(records: pd.DataFrame, sc_assign: pd.DataFrame,
@@ -106,28 +139,28 @@ def compress_subchunks(records: pd.DataFrame, sc_assign: pd.DataFrame,
     """Zlib-compress each sub-chunk's members (parents-before-children
     order so the 32 KB window sees the most similar record first).
 
-    Returns per-sub-chunk ``(sc, raw_bytes, comp_bytes, n_members)``.
-    Without payloads the compressed size falls back to the raw sum
-    (compression ratio 1 — the k=1 semantics).
+    Returns per-sub-chunk ``(sc, raw_bytes, comp_bytes, n_members)`` in
+    ``sc`` order. Without payloads the compressed size falls back to the
+    raw sum (compression ratio 1 — the k=1 semantics). One stable sort by
+    ``(sc, depth, origin)`` lays every sub-chunk out as a slice.
     """
     df = records.merge(sc_assign, on=["key", "origin"])
-    df["_depth"] = depths[df["origin"].to_numpy()]
-    df = df.sort_values(["sc", "_depth", "origin"], kind="mergesort")
-    out = []
-    has_payload = "payload" in df.columns and df["payload"].notna().all()
-    for sc, grp in df.groupby("sc", sort=True):
-        raw = int(grp["size"].sum())
-        if has_payload and len(grp) > 1:
-            blob = "".join(grp["payload"].tolist()).encode("ascii")
-            comp = min(raw, len(zlib.compress(blob, 6)))
-        elif has_payload:
-            comp = min(raw, len(zlib.compress(
-                grp["payload"].iloc[0].encode("ascii"), 6)))
-        else:
-            comp = raw
-        out.append((int(sc), raw, comp, len(grp)))
-    return pd.DataFrame(out, columns=["sc", "raw_bytes", "comp_bytes",
-                                      "n_members"])
+    origin = df["origin"].to_numpy(np.int64)
+    sc = df["sc"].to_numpy(np.int64)
+    order = np.lexsort((origin, depths[origin], sc))
+    sc = sc[order]
+    starts, ends = _runs(sc)
+    raw = np.add.reduceat(df["size"].to_numpy(np.int64)[order], starts)
+    comp = raw
+    if "payload" in df.columns and df["payload"].notna().all():
+        payloads = df["payload"].to_numpy()[order].tolist()
+        zipped = np.fromiter(
+            (len(zlib.compress("".join(payloads[s:e]).encode("ascii"), 6))
+             for s, e in zip(starts.tolist(), ends.tolist())),
+            dtype=np.int64, count=len(starts))
+        comp = np.minimum(raw, zipped)
+    return pd.DataFrame({"sc": sc[starts], "raw_bytes": raw,
+                         "comp_bytes": comp, "n_members": ends - starts})
 
 
 def sc_dataset(graph, membership: pd.DataFrame, sc_assign: pd.DataFrame,
@@ -143,39 +176,41 @@ def sc_dataset(graph, membership: pd.DataFrame, sc_assign: pd.DataFrame,
     never span evaluation, which uses record-level membership).
 
     Returns ``(sc_records, sc_kills, sc_region)`` where sc_records has
-    columns (key=sc, origin, size=comp_bytes) and sc_region is the exact
-    ``(vid, sc)`` membership used for SHINGLE and span evaluation.
+    columns (key=sc, origin, size=comp_bytes) in ``sc`` order and
+    sc_region is the exact ``(vid, sc)`` membership used for SHINGLE and
+    span evaluation. One sort of the membership rows by ``sc`` lays
+    every region out as a slice.
     """
     depths = graph.depths()
     m = membership.merge(sc_assign, on=["key", "origin"])
     sc_region = m[["vid", "sc"]].drop_duplicates().reset_index(drop=True)
 
-    rep = (m.assign(_d=depths[m["origin"].to_numpy()])
-           .sort_values(["_d", "origin"])
-           .groupby("sc")["origin"].first())
+    sc_all = m["sc"].to_numpy(np.int64)
+    order = np.argsort(sc_all)
+    sc = sc_all[order]
+    starts, ends = _runs(sc)
+    vids = m["vid"].to_numpy(np.int64)[order].tolist()
+    # Representative: the member with the smallest (depth, origin).
+    origin = m["origin"].to_numpy(np.int64)[order]
+    code = depths[origin] * graph.n + origin
+    reps = np.minimum.reduceat(code, starts) % graph.n
+    ids = sc[starts]
+    sizes = sc_sizes.set_index("sc")["comp_bytes"].loc[ids].to_numpy(np.int64)
 
-    region_sets: dict[int, set] = {
-        int(sc): set(map(int, grp["vid"])) for sc, grp in sc_region.groupby("sc")}
-
-    rec_rows, kill_rows = [], []
-    comp = sc_sizes.set_index("sc")["comp_bytes"]
-    for sc, region in region_sets.items():
-        root = int(rep.loc[sc])
-        # Component of the region reachable from the representative.
-        comp_set, stack = set(), [root]
+    kill_rows = []
+    for sc_id, root, s, e in zip(ids.tolist(), reps.tolist(), starts.tolist(),
+                                 ends.tolist()):
+        region = set(vids[s:e])
+        # DFS the region's component from the representative; a child of
+        # the component outside the region kills the sub-chunk there.
+        stack = [root] if root in region else []
         while stack:
-            u = stack.pop()
-            if u in comp_set or u not in region:
-                continue
-            comp_set.add(u)
-            stack.extend(graph.children[u])
-        rec_rows.append((sc, root, int(comp.loc[sc])))
-        for u in comp_set:
-            for c in graph.children[u]:
-                if c not in comp_set:
-                    kill_rows.append((sc, root, c))
-    sc_records = pd.DataFrame(rec_rows, columns=["key", "origin", "size"]
-                              ).astype("int64")
+            for c in graph.children[stack.pop()]:
+                if c in region:
+                    stack.append(c)
+                else:
+                    kill_rows.append((sc_id, root, c))
+    sc_records = pd.DataFrame({"key": ids, "origin": reps, "size": sizes})
     sc_kills = pd.DataFrame(kill_rows, columns=["key", "origin", "kill_vid"]
                             ).astype("int64") if kill_rows else pd.DataFrame(
         {"key": pd.Series(dtype="int64"), "origin": pd.Series(dtype="int64"),

@@ -10,11 +10,15 @@ through Catalyst:
     killed  = kills   ⋈ closure on (kill_vid = anc)
     member  = live ⟕̸ killed        (left anti join)
 
-A driver-side delta-replay (:mod:`repro.versioned.walker`) provides the
-brute-force cross-check used in tests.
+:func:`membership_pd` computes the same relation on the driver by delta
+replay (:mod:`repro.versioned.walker`). It is the brute-force cross-check
+of the Spark path in tests, and the membership the driver-side layouts
+(sub-chunks, Figs 8–13) read; it is itself checked against the walker's
+live sets and the DuckDB oracle.
 """
 from __future__ import annotations
 
+import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import types as T
@@ -48,19 +52,27 @@ def membership_spark(spark: SparkSession, graph: VersionGraph,
 
 def membership_pd(graph: VersionGraph, records: pd.DataFrame,
                   kills: pd.DataFrame) -> pd.DataFrame:
-    """Brute-force membership by delta replay — O(n · m') rows."""
-    sizes = {(int(k), int(o)): int(s)
-             for k, o, s in zip(records["key"], records["origin"], records["size"])}
-    vids, keys, origins, szs = [], [], [], []
+    """Brute-force membership by delta replay — O(n · m') rows.
+
+    Rows come version by version in walker exit order, each version's in
+    its live map's order. A version's rows are emitted as one NumPy block;
+    sizes are then filled by a single lookup of the ``(key, origin)`` code
+    ``key · n + origin`` in the records' sorted codes.
+    """
+    vids, keys, origins = [], [], []
 
     def _exit(v: int, live: dict) -> None:
-        for key, origin in live.items():
-            vids.append(v)
-            keys.append(key)
-            origins.append(origin)
-            szs.append(sizes[(key, origin)])
+        n = len(live)
+        vids.append(np.full(n, v, dtype=np.int64))
+        keys.append(np.fromiter(live.keys(), dtype=np.int64, count=n))
+        origins.append(np.fromiter(live.values(), dtype=np.int64, count=n))
 
     walk(graph, records, kills, _exit)
-    return pd.DataFrame({"vid": vids, "key": keys, "origin": origins,
-                         "size": szs}).astype("int64")
-
+    key, origin = np.concatenate(keys), np.concatenate(origins)
+    rec_code = (records["key"].to_numpy(np.int64) * graph.n
+                + records["origin"].to_numpy(np.int64))
+    by_code = np.argsort(rec_code)
+    pos = np.searchsorted(rec_code[by_code], key * graph.n + origin)
+    size = records["size"].to_numpy(np.int64)[by_code[pos]]
+    return pd.DataFrame({"vid": np.concatenate(vids), "key": key,
+                         "origin": origin, "size": size})

@@ -1,4 +1,5 @@
-"""Spark closure-join membership vs brute force and the DuckDB oracle."""
+"""Membership: Spark closure joins, the pandas delta replay, the walker's
+live sets and the DuckDB oracle, each checked against another."""
 import pandas as pd
 import pytest
 
@@ -7,6 +8,7 @@ from repro.versioned.generator import generate
 from repro.versioned.graph import chain, random_tree
 from repro.versioned.membership import (closure_df, membership_pd,
                                         membership_spark)
+from repro.versioned.walker import live_sets
 
 from tests.paper_examples import example2
 
@@ -63,6 +65,34 @@ class TestOracle:
             mem.select("vid", "key", "origin", "size"), MEMBERSHIP_SQL,
             records=ds.records[["key", "origin", "size"]],
             kills=ds.kills, closure=g.descendants_pairs())
+
+
+class TestPandasMembership:
+    """``membership_pd`` against DuckDB and the walker's live sets; no Spark."""
+
+    @pytest.mark.parametrize("frac_delete,frac_insert,seed", [
+        (0.3, 0.1, 4), (1.0, 0.0, 5), (0.6, 0.2, 6)])
+    def test_against_sql_and_live_sets(self, frac_delete, frac_insert, seed):
+        g = random_tree(30, deepen_prob=0.7, seed=seed)
+        ds = generate(g, n_base=30, pct_update=20, frac_delete=frac_delete,
+                      frac_insert=frac_insert, with_payload=False, seed=seed)
+        if frac_delete == 1.0:
+            delete_only = set(ds.kills["kill_vid"]) - set(ds.records["origin"])
+            assert delete_only, "the input must have delete-only versions"
+        mem = membership_pd(g, ds.records, ds.kills)
+        assert (mem.dtypes == "int64").all()
+        assert_equivalent(mem, MEMBERSHIP_SQL,
+                          records=ds.records[["key", "origin", "size"]],
+                          kills=ds.kills, closure=g.descendants_pairs())
+        size = ds.sizes()
+        rows = [(v, key, origin, size[(key, origin)])
+                for v, live in enumerate(live_sets(g, ds.records, ds.kills))
+                for key, origin in live.items()]
+        want = pd.DataFrame(rows, columns=["vid", "key", "origin", "size"])
+        by = ["vid", "key", "origin"]
+        pd.testing.assert_frame_equal(
+            mem.sort_values(by).reset_index(drop=True),
+            want.sort_values(by).reset_index(drop=True), check_dtype=False)
 
 
 class TestClosure:
