@@ -10,9 +10,10 @@ The full 3-D mapping M(K, V, C) is kept as per-chunk *chunk maps*
 One builder, :meth:`IndexSet.from_pairs`, turns driver-side
 ``(vid, chunk)`` and ``(key, chunk)`` pairs into these hash maps — the
 paper uses in-memory hashmaps too and reports their sizes (we expose
-:meth:`IndexSet.sizes_bytes` for the same measurement).
-:func:`build_indexes` feeds it from Spark with one aggregation over the
-chunk map; the experiments feed it from pandas membership ⋈ assignment.
+:meth:`IndexSet.sizes_bytes` for the same measurement). The chunk store
+feeds it from M as stored; the experiments from pandas membership ⋈
+assignment; :func:`build_indexes`, one Spark aggregation, is only the
+benchmark's and the tests' reference.
 """
 from __future__ import annotations
 

@@ -7,8 +7,9 @@ over all versions (Fig 8's metric).
 
 Every partitioner's assignment is collected on the driver, so spans are
 evaluated in pandas by joining the membership relation with the
-assignment. :func:`assignment_df` lifts an assignment back into Spark
-for the index builder and the chunk store.
+assignment. :func:`assignment_df` lifts an assignment back into Spark;
+only :func:`~repro.core.shingle.shingle_partition`'s return and the
+benchmark's ingest layout still use it.
 """
 from __future__ import annotations
 

@@ -22,7 +22,6 @@ existing partitioners and the closure-join membership run unchanged.
 from __future__ import annotations
 
 import zlib
-from collections import defaultdict
 
 import numpy as np
 import pandas as pd
@@ -178,12 +177,13 @@ def sc_dataset(graph, membership: pd.DataFrame, sc_assign: pd.DataFrame,
     Returns ``(sc_records, sc_kills, sc_region)`` where sc_records has
     columns (key=sc, origin, size=comp_bytes) in ``sc`` order and
     sc_region is the exact ``(vid, sc)`` membership used for SHINGLE and
-    span evaluation. One sort of the membership rows by ``sc`` lays
-    every region out as a slice.
+    span evaluation; its rows are distinct, as a version holds one live
+    record of a key and a sub-chunk holds one key. One sort of the
+    membership rows by ``sc`` lays every region out as a slice.
     """
     depths = graph.depths()
     m = membership.merge(sc_assign, on=["key", "origin"])
-    sc_region = m[["vid", "sc"]].drop_duplicates().reset_index(drop=True)
+    sc_region = m[["vid", "sc"]]
 
     sc_all = m["sc"].to_numpy(np.int64)
     order = np.argsort(sc_all)
@@ -229,32 +229,3 @@ def shingle_subchunk_partition(spark, sc_records: pd.DataFrame,
     return (shingle_partition(mem_sc, C)
             .select("key", "origin", "size", "chunk").toPandas())
 
-
-def transformed_tree(graph, records: pd.DataFrame, sc_assign: pd.DataFrame):
-    """Example 6: representative composite keys + duplicate-version
-    removal. BFS the tree; at each version, sub-chunks of records that
-    originated there and are still unassigned take ``(key, vid)`` as
-    their representative composite key; versions contributing no new
-    representative (and not the root) are duplicates and are contracted.
-
-    Returns ``(reps, kept)``: ``reps[sc] = (key, vid)``,
-    ``kept`` = surviving version ids.
-    """
-    sc_of = {(int(r.key), int(r.origin)): int(r.sc)
-             for r in sc_assign.itertuples()}
-    by_origin: dict[int, list[int]] = defaultdict(list)
-    for key, origin in zip(records["key"].astype(int),
-                           records["origin"].astype(int)):
-        by_origin[origin].append(key)
-    reps: dict[int, tuple[int, int]] = {}
-    kept = []
-    for v in graph.bfs_order():
-        new = False
-        for key in sorted(by_origin.get(v, [])):
-            sc = sc_of[(key, v)]
-            if sc not in reps:
-                reps[sc] = (key, v)
-                new = True
-        if new or v == 0:
-            kept.append(v)
-    return reps, kept

@@ -6,7 +6,9 @@ one file: one object per key, as in a KVS. The per-chunk *chunk map*
 (which versions each record in the chunk belongs to) lives in the chunk's
 own rows, as the paper stores it alongside the chunk: every record carries
 its sorted ``vids``, so one get returns both and extracting a version's
-records is a filter. A get is a KVS point operation, not a distributed
+records is a filter. The write reads the indexes back from M as stored
+(keys, flattened ``vids`` and ``size`` per chunk): the store is the one
+owner of chunk sizes. A get is a KVS point operation, not a distributed
 job: ``get_chunks`` reads exactly the requested chunks' files with Arrow,
 one after another, from the file table the write recorded. Chunks are
 distributed over ``n_nodes`` simulated servers by ``chunk % n_nodes``;
@@ -18,12 +20,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 from pyspark.sql.pandas.types import to_arrow_schema
+
+from ..core.indexes import IndexSet
 
 
 @dataclass
@@ -58,6 +64,22 @@ def _read(path: str, columns: list[str] | None = None) -> pa.Table:
         return f.read(columns=columns, use_threads=False)
 
 
+def _read_indexes(files: dict[int, str]) -> IndexSet:
+    """The lossy indexes and chunk bytes, read back from M as stored. The
+    files are read one by one, as a get reads them: an Arrow dataset scan
+    of the store directory raised the driver's peak memory by ~14 MB."""
+    parts = [_read(f, ["key", "size", "vids"]) for f in files.values()]
+    chunk = np.repeat(np.fromiter(files, np.int64, len(files)),
+                      [p.num_rows for p in parts])
+    t = pa.concat_tables(parts)
+    keys = pd.DataFrame({"key": t["key"].to_numpy(), "chunk": chunk,
+                         "size": t["size"].to_numpy()})
+    return IndexSet.from_pairs(pd.DataFrame({
+        "vid": pc.list_flatten(t["vids"]).to_numpy(),
+        "chunk": chunk[pc.list_parent_indices(t["vids"]).to_numpy()]}),
+        keys, keys.groupby("chunk")["size"].sum())
+
+
 class ChunkStore:
     """Persist one object per chunk (records + chunk map); serve gets."""
 
@@ -65,7 +87,7 @@ class ChunkStore:
         self.path = Path(path)
         self.n_nodes = n_nodes
         self.stats = KVSStats()
-        self._chunk_bytes: dict[int, int] = {}
+        self.indexes = IndexSet({}, {}, {})
         self._files: dict[int, str] = {}
         self._object_bytes: dict[int, int] = {}
         self._schema: pa.Schema | None = None
@@ -75,18 +97,18 @@ class ChunkStore:
         return str(self.path / "chunks")
 
     def write(self, records_with_chunk: DataFrame,
-              chunk_map: DataFrame) -> None:
+              membership: DataFrame) -> None:
         """Write each chunk as one file of rows ``(key, origin, size,
         payload?, vids)``, then record, from the files written, each
-        chunk's file, its user bytes, its size on disk and the store's
-        Arrow schema.
+        chunk's file, its size on disk, the store's Arrow schema and
+        ``indexes``, the lossy projections with each chunk's user bytes.
 
         ``records_with_chunk``: (key, origin, size, payload?, chunk).
-        ``chunk_map``: (chunk, vid, key, origin) — the per-chunk slice of
-        the 3-D mapping M (§2.4), folded into each record's sorted
-        ``vids``. A record in no version keeps a null ``vids``.
+        ``membership``: (vid, key, origin, …) — the 3-D mapping M (§2.4),
+        folded into each written record's sorted ``vids``. A record in no
+        version keeps a null ``vids``.
         """
-        vids = (chunk_map.groupBy("key", "origin")
+        vids = (membership.groupBy("key", "origin")
                 .agg(F.array_sort(F.collect_list("vid")).alias("vids")))
         rows = records_with_chunk.join(vids, ["key", "origin"], "left")
         (rows.repartition("chunk").write.mode("overwrite")
@@ -96,15 +118,15 @@ class ChunkStore:
                        for f in files}
         if len(self._files) != len(files):
             raise RuntimeError("a chunk was written as more than one file")
-        self._chunk_bytes = {c: pc.sum(_read(f, ["size"])["size"]).as_py()
-                             for c, f in self._files.items()}
+        self.indexes = (_read_indexes(self._files) if files
+                        else IndexSet({}, {}, {}))
         self._object_bytes = {c: Path(f).stat().st_size
                               for c, f in self._files.items()}
         self._schema = (pq.read_schema(files[0]) if files
                         else to_arrow_schema(rows.drop("chunk").schema))
 
     def chunk_bytes(self) -> dict[int, int]:
-        return dict(self._chunk_bytes)
+        return dict(self.indexes.chunk_bytes)
 
     def get_chunks(self, spark: SparkSession, chunk_ids) -> pa.Table:
         """Fetch chunks by id: read exactly their files, one after another,
@@ -116,7 +138,7 @@ class ChunkStore:
         missing = [c for c in ids if c not in self._files]
         if missing:
             raise KeyError(f"chunks not in the store: {missing}")
-        self.stats.record(ids, self._chunk_bytes, self.n_nodes,
+        self.stats.record(ids, self.indexes.chunk_bytes, self.n_nodes,
                           self._object_bytes)
         if not ids:
             return self._schema.empty_table()

@@ -6,31 +6,27 @@ import pytest
 from pyspark.sql import functions as F
 
 from repro.core.bottom_up import bottom_up_partition
-from repro.core.indexes import chunk_map_df
-from repro.core.span import assignment_df
+from repro.core.indexes import IndexSet
 from repro.kvs.store import ChunkStore, KVSStats
+from repro.pipeline import lay_out
 from repro.versioned.generator import generate
 from repro.versioned.graph import random_tree
-from repro.versioned.membership import membership_pd, membership_spark
+from repro.versioned.membership import membership_pd
 
 
 @pytest.fixture(scope="module")
 def store(spark, tmp_path_factory):
     g = random_tree(20, deepen_prob=0.85, seed=21)
     ds = generate(g, n_base=50, pct_update=15, with_payload=True, seed=10)
-    rdf = ds.spark_records(spark)
-    mem = membership_spark(spark, g, rdf, ds.spark_kills(spark))
     asg = bottom_up_partition(g, ds.records, ds.kills, C=500)
-    adf = assignment_df(spark, asg)
-    st = ChunkStore(tmp_path_factory.mktemp("kvs"), n_nodes=4)
     # With coalescing off, every shuffle partition holds rows, as in a large
     # store, so the one-file-per-chunk test sees a multi-task write.
     coalesce = "spark.sql.adaptive.coalescePartitions.enabled"
     prev = spark.conf.get(coalesce)
     spark.conf.set(coalesce, "false")
     try:
-        st.write(rdf.join(adf.select("key", "origin", "chunk"),
-                          ["key", "origin"]), chunk_map_df(mem, adf))
+        st = lay_out(spark, ds, asg, tmp_path_factory.mktemp("kvs"),
+                     n_nodes=4)
     finally:
         spark.conf.set(coalesce, prev)
     return g, ds, asg, st
@@ -105,9 +101,10 @@ class TestWriteRead:
         g, ds, asg, st = store
         rdf = ds.spark_records(spark).limit(0)
         empty = ChunkStore(tmp_path / "empty")
-        no_map = spark.createDataFrame(
-            [], "chunk long, vid long, key long, origin long")
+        no_map = spark.createDataFrame([], "vid long, key long, origin long")
         empty.write(rdf.withColumn("chunk", F.lit(0).cast("long")), no_map)
+        assert empty.indexes == IndexSet({}, {}, {})
+        assert empty.chunk_bytes() == {}
         got = empty.get_chunks(spark, [])
         assert got.num_rows == 0
         assert got.column_names == ["key", "origin", "size", "payload", "vids"]
@@ -115,9 +112,12 @@ class TestWriteRead:
             empty.get_chunks(spark, [0])
 
     def test_chunk_bytes_match_assignment(self, store):
+        # The indexes own the sizes; chunk_bytes() hands out a copy.
         g, ds, asg, st = store
         exp = asg.groupby("chunk")["size"].sum().to_dict()
         assert st.chunk_bytes() == {int(k): int(v) for k, v in exp.items()}
+        assert st.chunk_bytes() == st.indexes.chunk_bytes
+        assert st.chunk_bytes() is not st.indexes.chunk_bytes
 
 
 class TestAccounting:

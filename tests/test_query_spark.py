@@ -4,32 +4,24 @@ import pandas as pd
 import pytest
 
 from repro.core.bottom_up import bottom_up_partition
-from repro.core.indexes import build_indexes, chunk_map_df
 from repro.core.query import (COLUMNS, QueryEngine, plan_evolution,
                               plan_full_version, plan_range, plan_record)
-from repro.core.span import assignment_df
 from repro.kvs.cost import CostModel
-from repro.kvs.store import ChunkStore
 from repro.oracle import assert_equivalent
+from repro.pipeline import lay_out
 from repro.versioned.generator import generate
 from repro.versioned.graph import random_tree
-from repro.versioned.membership import membership_pd, membership_spark
+from repro.versioned.membership import membership_pd
 
 
 @pytest.fixture(scope="module")
 def engine(spark, tmp_path_factory):
     g = random_tree(25, deepen_prob=0.85, seed=41)
     ds = generate(g, n_base=60, pct_update=15, with_payload=True, seed=14)
-    rdf = ds.spark_records(spark)
-    mem_s = membership_spark(spark, g, rdf, ds.spark_kills(spark)).cache()
     mem_p = membership_pd(g, ds.records, ds.kills)
     asg = bottom_up_partition(g, ds.records, ds.kills, C=600)
-    adf = assignment_df(spark, asg)
-    idx = build_indexes(mem_s, adf)
-    st = ChunkStore(tmp_path_factory.mktemp("qkvs"), n_nodes=2)
-    st.write(rdf.join(adf.select("key", "origin", "chunk"), ["key", "origin"]),
-             chunk_map_df(mem_s, adf))
-    qe = QueryEngine(spark, st, idx)
+    st = lay_out(spark, ds, asg, tmp_path_factory.mktemp("qkvs"), n_nodes=2)
+    qe = QueryEngine(spark, st, st.indexes)
     return g, ds, mem_p, asg, qe
 
 

@@ -8,11 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.bottom_up import bottom_up_partition
-from repro.core.subchunks import (build_subchunks, compress_subchunks,
-                                  sc_dataset, transformed_tree)
+from repro.core.subchunks import build_subchunks, compress_subchunks, sc_dataset
 from repro.versioned.datasets import make
 from repro.versioned.generator import generate
-from repro.versioned.graph import chain, random_tree
+from repro.versioned.graph import VersionGraph, chain, dag_to_tree, random_tree
 from repro.versioned.membership import membership_pd
 
 from tests.paper_examples import fig7
@@ -45,19 +44,16 @@ class TestFig7:
         ]))
         assert got == want
 
-    def test_transformed_tree_drops_v4_and_v6(self):
-        # Example 6: V4 duplicates V2 and V6 duplicates V3.
-        g, rec, kills = fig7()
-        sc = build_subchunks(g, rec, k=3)
-        reps, kept = transformed_tree(g, rec, sc)
-        assert set(kept) == {0, 1, 2, 3, 5}
-
     def test_representative_composite_keys(self):
+        # Fig 7(c)'s CK column: each sub-chunk's key with its representative
+        # origin, the shallowest member (Example 6), as phase 2 uses it.
         g, rec, kills = fig7()
         sc = build_subchunks(g, rec, k=3)
-        reps, kept = transformed_tree(g, rec, sc)
-        rep_cks = set(reps.values())
-        # Fig 7(c) CK column.
+        cs = compress_subchunks(rec, sc, g.depths())
+        screc, _, _ = sc_dataset(g, membership_pd(g, rec, kills), sc, cs)
+        key_of = sc.groupby("sc")["key"].first()
+        rep_cks = set(zip(key_of.loc[screc["key"]].tolist(),
+                          screc["origin"].tolist()))
         assert rep_cks == {(0, 1), (0, 0), (1, 0), (2, 1), (2, 0), (3, 2),
                            (3, 0), (4, 3), (5, 5)}
 
@@ -171,6 +167,54 @@ class TestScDataset:
         g, ds, mem, sc, cs = built
         screc, _, _ = sc_dataset(g, mem, sc, cs)
         assert screc["size"].sum() == cs["comp_bytes"].sum()
+
+
+def _reinsert_deleted(g, records: pd.DataFrame, kills: pd.DataFrame):
+    """``records`` plus, for every key deleted at a version with children,
+    the key inserted again at that version's first child."""
+    rec = set(zip(records["key"].tolist(), records["origin"].tolist()))
+    again = [(k, g.children[v][0], 100, None)
+             for k, v in zip(kills["key"].tolist(), kills["kill_vid"].tolist())
+             if (k, v) not in rec and g.children[v]]
+    return pd.concat([records, pd.DataFrame(again, columns=records.columns)],
+                     ignore_index=True)
+
+
+class TestRegionRowsDistinct:
+    """A version holds one live record of a key and a sub-chunk holds one
+    key, so membership ⋈ sub-chunks has distinct ``(vid, sc)`` rows."""
+
+    @staticmethod
+    def check(g, records, kills):
+        mem = membership_pd(g, records, kills)
+        for k in (2, 5, 25):
+            sc = build_subchunks(g, records, k=k)
+            m = mem.merge(sc, on=["key", "origin"])
+            assert len(m) == len(mem)
+            assert not m.duplicated(["vid", "sc"]).any()
+            cs = compress_subchunks(records, sc, g.depths())
+            assert len(sc_dataset(g, mem, sc, cs)[2]) == len(mem)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_delete_heavy_with_reinserted_keys(self, seed):
+        g = random_tree(40, deepen_prob=0.7, seed=seed)
+        ds = generate(g, n_base=30, pct_update=50, frac_delete=0.6,
+                      with_payload=False, seed=seed)
+        records = _reinsert_deleted(g, ds.records, ds.kills)
+        assert len(records) > ds.n_unique
+        self.check(g, records, ds.kills)
+
+    def test_dag_to_tree_output(self):
+        # Merges from another branch rename the records that reach the merge
+        # only through the dropped parent: keys inserted again (Fig 4).
+        g = random_tree(30, deepen_prob=0.6, seed=9)
+        ds = generate(g, n_base=30, pct_update=40, frac_delete=0.6,
+                      with_payload=False, seed=9)
+        assert 3 not in g.ancestors(20)
+        dag = VersionGraph(list(g.parent), extra_parents={20: [3]})
+        tree, records, kills = dag_to_tree(dag, ds.records, ds.kills)
+        assert len(records) > ds.n_unique
+        self.check(tree, records, kills)
 
 
 def _digest(df: pd.DataFrame) -> str:
