@@ -8,7 +8,7 @@
 - DELTA: each version's delta packed into its own chunk(s). A version is
   reconstructed by fetching every delta on its root path, so the generic
   membership span does NOT apply; :func:`delta_version_spans` charges the
-  full path.
+  full path (:func:`root_path_sum`, which also sums a path's bytes).
 """
 from __future__ import annotations
 
@@ -61,18 +61,25 @@ def delta_partition(graph, records: pd.DataFrame, C: int) -> pd.DataFrame:
     return pd.concat(parts, ignore_index=True)
 
 
+def root_path_sum(graph, per_version: pd.Series) -> np.ndarray:
+    """Each version's sum of ``per_version`` over its root path (itself
+    and every ancestor); versions missing from the index count 0."""
+    own = per_version.reindex(range(graph.n), fill_value=0).to_numpy(np.int64)
+    out = np.zeros(graph.n, dtype=np.int64)
+    for v in range(graph.n):  # parent[v] < v, so out[parent] is final
+        p = graph.parent[v]
+        out[v] = own[v] + (out[p] if p is not None else 0)
+    return out
+
+
 def delta_version_spans(graph, assignment: pd.DataFrame) -> pd.Series:
     """Span of each version under DELTA = Σ chunks over its root path.
 
     Versions whose delta is empty (possible for tiny test datasets)
     contribute 0 chunks of their own but still require their ancestors'.
     """
-    per_version = (assignment.groupby("origin")["chunk"].nunique()
-                   .reindex(range(graph.n), fill_value=0).to_numpy())
-    spans = np.zeros(graph.n, dtype=np.int64)
-    for v in range(graph.n):
-        p = graph.parent[v]
-        spans[v] = per_version[v] + (spans[p] if p is not None else 0)
+    spans = root_path_sum(graph,
+                          assignment.groupby("origin")["chunk"].nunique())
     return pd.Series(spans, index=pd.RangeIndex(graph.n, name="vid"),
                      name="span")
 

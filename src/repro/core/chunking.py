@@ -20,7 +20,6 @@ OVERFLOW = 1.25  # chunks may exceed C by up to 25% (§2.5)
 
 def pack_ordered(sizes: Sequence[int], C: int,
                  group_ids: Sequence[int] | None = None,
-                 merge_partials: bool = True,
                  start_chunk: int = 0) -> tuple[np.ndarray, int]:
     """Assign chunk ids to records in the given order.
 
@@ -60,7 +59,7 @@ def pack_ordered(sizes: Sequence[int], C: int,
         fill += s
     partials.append((cur, fill))
 
-    if merge_partials and len(partials) > 1:
+    if len(partials) > 1:
         # First-fit decreasing over the closed partial chunks; full chunks
         # (fill ≥ C) are left alone. Remap merged ids in one vector pass.
         limit = int(C * OVERFLOW)

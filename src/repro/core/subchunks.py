@@ -18,6 +18,7 @@ as records: each gets a representative composite key (its shallowest
 member, per Example 6), a zlib-compressed size, and add/kill events
 derived from the exact union of member membership regions, so the
 existing partitioners and the closure-join membership run unchanged.
+:func:`two_phase_layouts` runs both phases for every phase-2 partitioner.
 """
 from __future__ import annotations
 
@@ -26,7 +27,9 @@ import zlib
 import numpy as np
 import pandas as pd
 
+from .bottom_up import bottom_up_partition
 from .shingle import shingle_partition
+from .traversal import dfs_partition
 
 
 def build_subchunks(graph, records: pd.DataFrame, k: int) -> pd.DataFrame:
@@ -218,14 +221,32 @@ def sc_dataset(graph, membership: pd.DataFrame, sc_assign: pd.DataFrame,
     return sc_records, sc_kills, sc_region
 
 
-def shingle_subchunk_partition(spark, sc_records: pd.DataFrame,
-                               sc_region: pd.DataFrame, C: int) -> pd.DataFrame:
-    """Phase-2 SHINGLE over sub-chunks, shingled on each sub-chunk's exact
-    region (:func:`sc_dataset`). Returns ``(key=sc, origin, size, chunk)``."""
-    reg = sc_region.merge(sc_records.rename(columns={"key": "sc"})[
-        ["sc", "size"]], on="sc").rename(columns={"sc": "key"})
+def two_phase_layouts(spark, graph, records: pd.DataFrame,
+                      membership: pd.DataFrame, k: int, C: int):
+    """The two-phase layout of §3.4 at max sub-chunk size ``k``.
+
+    Phase 1 builds and compresses the sub-chunks; phase 2 partitions them
+    as records into ~``C``-byte chunks with BOTTOMUP, DEPTHFIRST and
+    SHINGLE, in that order. SHINGLE shingles each sub-chunk on its exact
+    region (:func:`sc_dataset`).
+
+    Returns ``(sc_sizes, layouts)``: the :func:`compress_subchunks` table,
+    and per algorithm ``(sc_assignment, record_assignment)`` — the
+    phase-2 ``(key=sc, origin, size, chunk)`` rows and the
+    ``(key, origin, sc, chunk)`` chunk of every record.
+    """
+    sc = build_subchunks(graph, records, k=k)
+    cs = compress_subchunks(records, sc, graph.depths())
+    screc, sckill, screg = sc_dataset(graph, membership, sc, cs)
+    reg = screg.merge(screc.rename(columns={"key": "sc"})[["sc", "size"]],
+                      on="sc").rename(columns={"sc": "key"})
     reg["origin"] = 0
     mem_sc = spark.createDataFrame(reg[["vid", "key", "origin", "size"]])
-    return (shingle_partition(mem_sc, C)
-            .select("key", "origin", "size", "chunk").toPandas())
-
+    asgs = {
+        "BOTTOMUP": bottom_up_partition(graph, screc, sckill, C),
+        "DEPTHFIRST": dfs_partition(graph, screc, C),
+        "SHINGLE": shingle_partition(mem_sc, C).select(
+            "key", "origin", "size", "chunk").toPandas(),
+    }
+    return cs, {algo: (asg, sc.merge(asg.rename(columns={"key": "sc"})[
+        ["sc", "chunk"]], on="sc")) for algo, asg in asgs.items()}

@@ -1,5 +1,5 @@
-"""Shared helpers for experiment jobs: session bootstrap for spark-submit
-entrypoints, markdown rendering, and result persistence."""
+"""Shared helpers for ``jobs/run_all.py``: session bootstrap, markdown
+rendering, and result persistence."""
 from __future__ import annotations
 
 import os
@@ -15,7 +15,7 @@ RESULTS_DIR = Path(os.environ.get("REPRO_RESULTS_DIR", "results"))
 
 
 def get_spark(app: str) -> SparkSession:
-    """Session for standalone ``jobs/*.py`` runs (tests use the fixture)."""
+    """Session for ``jobs/run_all.py`` (tests use the fixture)."""
     return (SparkSession.builder.appName(app)
             .config("spark.sql.shuffle.partitions",
                     os.environ.get("SPARK_SHUFFLE_PARTITIONS", "16"))

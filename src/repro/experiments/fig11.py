@@ -18,17 +18,15 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from ..core.baselines import (delta_partition, delta_version_spans,
-                              subchunk_partition)
-from ..core.bottom_up import bottom_up_partition
+                              root_path_sum, subchunk_partition)
 from ..core.indexes import IndexSet
 from ..core.query import plan_evolution, plan_full_version, plan_range
-from ..core.subchunks import (build_subchunks, compress_subchunks, sc_dataset,
-                              shingle_subchunk_partition)
-from ..core.traversal import dfs_partition
+from ..core.subchunks import compress_subchunks, two_phase_layouts
 from ..kvs.cost import QUERY_MODEL, CostModel
 from ..versioned.datasets import make
 from ..versioned.membership import membership_pd
 
+DATASETS = ("A0s", "C0s")
 K_VALUES = (1, 5, 20, 50)
 N_QUERIES = 20
 
@@ -60,8 +58,8 @@ def _query_times(mem_p, rec_assign, chunk_bytes, *, rng,
             "q3_s": float(np.mean(q3))}
 
 
-def run_dataset(spark: SparkSession | None, name: str, *,
-                scale: float = 1.0, C: int = 10_000, k_values=K_VALUES,
+def run_dataset(spark: SparkSession, name: str, *, scale: float = 1.0,
+                C: int = 10_000, k_values=K_VALUES,
                 model: CostModel = QUERY_MODEL, seed: int = 0) -> pd.DataFrame:
     rows = []
     ds = make(name, scale=scale, with_payload=True, p_d=0.05)
@@ -70,18 +68,8 @@ def run_dataset(spark: SparkSession | None, name: str, *,
     rng = np.random.default_rng(seed)
 
     for k in k_values:
-        sc = build_subchunks(g, ds.records, k=k)
-        cs = compress_subchunks(ds.records, sc, g.depths())
-        screc, sckill, screg = sc_dataset(g, mem_p, sc, cs)
-        algos = {
-            "BOTTOMUP": bottom_up_partition(g, screc, sckill, C),
-            "DEPTHFIRST": dfs_partition(g, screc, C),
-        }
-        if spark is not None:
-            algos["SHINGLE"] = shingle_subchunk_partition(spark, screc, screg, C)
-        for algo, asg in algos.items():
-            rec_assign = sc.merge(
-                asg.rename(columns={"key": "sc"})[["sc", "chunk"]], on="sc")
+        _, layouts = two_phase_layouts(spark, g, ds.records, mem_p, k, C)
+        for algo, (asg, rec_assign) in layouts.items():
             chunk_bytes = asg.groupby("chunk")["size"].sum()
             t = _query_times(mem_p, rec_assign, chunk_bytes, rng=rng,
                              model=model)
@@ -91,14 +79,10 @@ def run_dataset(spark: SparkSession | None, name: str, *,
     # reconstructs all versions (impractical).
     d_asg = delta_partition(g, ds.records, C)
     spans = delta_version_spans(g, d_asg)
-    delta_bytes = d_asg.groupby("origin")["size"].sum().reindex(
-        range(g.n), fill_value=0)
-    path_bytes = {}
-    for v in range(g.n):
-        p = g.parent[v]
-        path_bytes[v] = int(delta_bytes.loc[v]) + (path_bytes[p] if p is not None else 0)
+    path_bytes = root_path_sum(g, d_asg.groupby("origin")["size"].sum())
     vids = rng.choice(g.n, N_QUERIES)
-    q1 = [model.retrieval_time(int(spans.loc[v]), path_bytes[v]) for v in vids]
+    q1 = [model.retrieval_time(int(spans.loc[v]), int(path_bytes[v]))
+          for v in vids]
     total_chunks = int(d_asg["chunk"].nunique())
     total_bytes = int(d_asg["size"].sum())
     q3 = model.retrieval_time(total_chunks, total_bytes)
@@ -123,3 +107,8 @@ def run_dataset(spark: SparkSession | None, name: str, *,
                  "q1_s": float(np.mean(q1)), "q2_s": float(np.mean(q2)),
                  "q3_s": float(np.mean(q3))})
     return pd.DataFrame(rows)
+
+
+def run(spark: SparkSession) -> pd.DataFrame:
+    return pd.concat([run_dataset(spark, n) for n in DATASETS],
+                     ignore_index=True)

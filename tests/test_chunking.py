@@ -41,22 +41,20 @@ class TestSequentialFill:
 
 class TestGroupsAndPartialMerging:
     def test_group_change_starts_new_chunk_before_merge(self):
-        # Without merging, each group gets its own chunk.
-        ids, _ = pack_ordered([2, 2, 2, 2], 10, group_ids=[0, 0, 1, 1],
-                              merge_partials=False)
-        assert ids[0] == ids[1] and ids[2] == ids[3] and ids[0] != ids[2]
+        # The group change closes record 0's 5-byte partial; records 1-2
+        # fill a 10-byte chunk, and a full chunk is never merged.
+        ids, _ = pack_ordered([5, 5, 5], 10, group_ids=[0, 1, 1])
+        assert ids[1] == ids[2] and ids[0] != ids[1]
 
     def test_partials_merge_to_bound_total_chunks(self):
         # 10 groups of one 2-byte record, C=10: merging packs them ~5/chunk.
         sizes = [2] * 10
-        ids, _ = pack_ordered(sizes, 10, group_ids=list(range(10)),
-                              merge_partials=True)
+        ids, _ = pack_ordered(sizes, 10, group_ids=list(range(10)))
         assert len(set(ids.tolist())) <= 3
 
     def test_merge_respects_overflow_limit(self):
         sizes = [7] * 6
-        ids, _ = pack_ordered(sizes, 10, group_ids=list(range(6)),
-                              merge_partials=True)
+        ids, _ = pack_ordered(sizes, 10, group_ids=list(range(6)))
         fills = chunk_fills(sizes, ids)
         assert all(f <= 10 * OVERFLOW for f in fills.values())
 

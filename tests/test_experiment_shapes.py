@@ -9,7 +9,7 @@ from repro.core.shingle import shingle_partition
 from repro.core.span import total_version_span_pd
 from repro.core.subchunks import build_subchunks, compress_subchunks
 from repro.core.traversal import bfs_partition, dfs_partition
-from repro.experiments import fig11, fig12, sec23, table1, table2
+from repro.experiments import fig10, fig11, fig12, sec23, table1, table2
 from repro.versioned.datasets import make
 from repro.versioned.membership import membership_pd, membership_spark
 
@@ -73,6 +73,16 @@ def test_fig10_subchunks_compress(c0s_payload, k):
     sc = build_subchunks(g, ds.records, k=k)
     cs = compress_subchunks(ds.records, sc, g.depths())
     assert cs["comp_bytes"].sum() < cs["raw_bytes"].sum()
+
+
+def test_fig10_two_phase_sweep(spark):
+    df = fig10.run_dataset(spark, "A2s", scale=0.3, k_values=(1, 5),
+                           p_d_values=(0.05,))
+    for k in (1, 5):
+        assert df[df.k == k]["algorithm"].tolist() == [
+            "BOTTOMUP", "DEPTHFIRST", "SHINGLE"]
+    assert (df["compression_ratio"] >= 1).all()
+    assert (df["total_span"] > 0).all()
 
 
 def test_fig11_query_sweep(spark):
