@@ -24,7 +24,7 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import types as T
 
 from .graph import VersionGraph
-from .walker import walk
+from .walker import deltas_by_version, sizes_by_code, walk
 
 _CLOSURE_SCHEMA = T.StructType([
     T.StructField("anc", T.LongType(), False),
@@ -67,12 +67,8 @@ def membership_pd(graph: VersionGraph, records: pd.DataFrame,
         keys.append(np.fromiter(live.keys(), dtype=np.int64, count=n))
         origins.append(np.fromiter(live.values(), dtype=np.int64, count=n))
 
-    walk(graph, records, kills, _exit)
+    walk(graph, *deltas_by_version(graph.n, records, kills), _exit)
     key, origin = np.concatenate(keys), np.concatenate(origins)
-    rec_code = (records["key"].to_numpy(np.int64) * graph.n
-                + records["origin"].to_numpy(np.int64))
-    by_code = np.argsort(rec_code)
-    pos = np.searchsorted(rec_code[by_code], key * graph.n + origin)
-    size = records["size"].to_numpy(np.int64)[by_code[pos]]
+    size = sizes_by_code(records, graph.n, key * graph.n + origin)
     return pd.DataFrame({"vid": np.concatenate(vids), "key": key,
                          "origin": origin, "size": size})

@@ -8,12 +8,15 @@ and undoing it on exit, so the cost is proportional to total delta size.
 
 ``on_exit(v, live)`` fires when every child of ``v`` has been processed
 and ``live`` again equals ``S_v`` — the state the BOTTOM-UP recursion
-needs (DESIGN §6).
+needs (DESIGN §6). :func:`walk` replays the per-version deltas of
+:func:`deltas_by_version`, so a caller that also reads the deltas (as
+BOTTOM-UP does) splits the records once.
 """
 from __future__ import annotations
 
 from typing import Callable
 
+import numpy as np
 import pandas as pd
 
 
@@ -25,27 +28,38 @@ def deltas_by_version(graph_n: int, records: pd.DataFrame, kills: pd.DataFrame):
     ``(key, origin)`` records killed at ``v``.
     """
     adds: list[list] = [[] for _ in range(graph_n)]
-    for key, origin, size in zip(records["key"].to_numpy(),
-                                 records["origin"].to_numpy(),
-                                 records["size"].to_numpy()):
-        adds[origin].append((int(key), int(size)))
+    for key, origin, size in zip(records["key"].tolist(),
+                                 records["origin"].tolist(),
+                                 records["size"].tolist()):
+        adds[origin].append((key, size))
     kls: list[list] = [[] for _ in range(graph_n)]
-    for key, origin, kv in zip(kills["key"].to_numpy(),
-                               kills["origin"].to_numpy(),
-                               kills["kill_vid"].to_numpy()):
-        kls[kv].append((int(key), int(origin)))
+    for key, origin, kv in zip(kills["key"].tolist(),
+                               kills["origin"].tolist(),
+                               kills["kill_vid"].tolist()):
+        kls[kv].append((key, origin))
     return adds, kls
 
 
-def walk(graph, records: pd.DataFrame, kills: pd.DataFrame,
+def sizes_by_code(records: pd.DataFrame, graph_n: int,
+                  codes: np.ndarray) -> np.ndarray:
+    """The ``size`` of each record given by its code ``key · n + origin``,
+    by one lookup in the records' sorted codes."""
+    rec_code = (records["key"].to_numpy(np.int64) * graph_n
+                + records["origin"].to_numpy(np.int64))
+    by_code = np.argsort(rec_code)
+    return records["size"].to_numpy(np.int64)[
+        by_code[np.searchsorted(rec_code[by_code], codes)]]
+
+
+def walk(graph, adds: list[list], kls: list[list],
          on_exit: Callable[[int, dict], None],
          on_enter: Callable[[int, dict], None] | None = None) -> None:
-    """DFS the version tree replaying deltas; see module docstring.
+    """DFS the version tree replaying ``deltas_by_version``'s ``adds`` and
+    ``kls``; see module docstring.
 
     ``live`` maps primary key → origin of the record live at the current
     version. Callbacks must not mutate ``live``.
     """
-    adds, kls = deltas_by_version(graph.n, records, kills)
     live: dict[int, int] = {}
     # Stack of (version, phase); phase 0 = enter, 1 = exit. An undo log per
     # entered version restores `live` when we leave its subtree.
@@ -91,5 +105,5 @@ def live_sets(graph, records: pd.DataFrame, kills: pd.DataFrame) -> list[dict]:
     def _exit(v: int, live: dict) -> None:
         out[v] = dict(live)
 
-    walk(graph, records, kills, _exit)
+    walk(graph, *deltas_by_version(graph.n, records, kills), _exit)
     return out

@@ -1,5 +1,6 @@
 """Shared fixtures encoding the paper's running examples (Fig 1/Example 2,
-Example 3, Fig 6/Example 5, Fig 7/Example 6) as records/kills tables.
+Example 3, Fig 6/Example 5, Fig 7/Example 6) as records/kills tables, and
+input helpers shared by several test modules.
 
 Keys are ints; composite key = (key, origin). Sizes are 1 byte unless a
 test needs otherwise, so chunk capacities are expressed in record counts.
@@ -110,3 +111,14 @@ def fig7():
         (3, 0, 6),
     ])
     return graph, records, kills
+
+
+def reinsert_deleted(g, records: pd.DataFrame, kills: pd.DataFrame):
+    """``records`` plus, for every key deleted at a version with children,
+    the key inserted again at that version's first child."""
+    rec = set(zip(records["key"].tolist(), records["origin"].tolist()))
+    again = [(k, g.children[v][0], 100, None)
+             for k, v in zip(kills["key"].tolist(), kills["kill_vid"].tolist())
+             if (k, v) not in rec and g.children[v]]
+    return pd.concat([records, pd.DataFrame(again, columns=records.columns)],
+                     ignore_index=True)

@@ -1,16 +1,93 @@
 """Tests for BOTTOM-UP partitioning (§3.2, Algorithm 3, Example 4)."""
+from collections import defaultdict
+
 import numpy as np
 import pandas as pd
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.baselines import random_partition
-from repro.core.bottom_up import bottom_up_partition
+from repro.core.bottom_up import _bucket, bottom_up_partition
+from repro.core.chunking import pack_ordered
 from repro.core.span import total_version_span_pd
 from repro.versioned.generator import generate
-from repro.versioned.graph import chain, random_tree
+from repro.versioned.graph import VersionGraph, chain, dag_to_tree, random_tree
 from repro.versioned.membership import membership_pd
+from repro.versioned.walker import deltas_by_version, walk
 
-from tests.paper_examples import df_kills, df_records, example2
+from tests.paper_examples import (df_kills, df_records, example2,
+                                  reinsert_deleted)
+
+
+def reference_bottom_up(graph, records, kills, C, *, beta=None,
+                        start_chunk=0):
+    """BOTTOM-UP as a per-version rebuild: at every exit, each child's
+    π-collection is expanded record by record and π_v is built afresh from
+    the live set. Slow, but a direct reading of §3.2; the incremental
+    partitioner must match it frame for frame."""
+    sizes = {(int(k), int(o)): int(s)
+             for k, o, s in zip(records["key"], records["origin"],
+                                records["size"])}
+    pi = {}
+    emitted = []  # (step, run, rec)
+    step_counter = [0]
+
+    def _emit(rec_counts):
+        step = step_counter[0]
+        step_counter[0] += 1
+        for rec in sorted(rec_counts, key=lambda r: (-rec_counts[r], r)):
+            emitted.append((step, rec_counts[rec], rec))
+
+    def _cap_beta(coll):
+        if beta is None or len(coll) <= beta:
+            return coll
+        while len(coll) > beta:
+            runs = sorted(coll, key=lambda r: (len(coll[r]), r))
+            victim = runs[0]
+            longer = [r for r in sorted(coll) if r > victim]
+            target = longer[0] if longer else sorted(coll)[-1]
+            if target == victim:
+                break
+            coll[target] |= coll.pop(victim)
+        return coll
+
+    def _exit(v, live):
+        merged = defaultdict(int)
+        for c in graph.children[v]:
+            for run, recs in pi.pop(c).items():
+                for rec in recs:
+                    merged[rec] += run
+        dead = {}
+        pi_v = defaultdict(set)
+        for rec, run in merged.items():
+            if live.get(rec[0]) == rec[1]:
+                pi_v[run + 1].add(rec)
+            else:
+                dead[rec] = run
+        if dead:
+            _emit(dead)
+        fresh = set(live.items()) - set().union(*pi_v.values())
+        if fresh:
+            pi_v[1] |= fresh
+        pi[v] = _cap_beta(dict(pi_v))
+
+    walk(graph, *deltas_by_version(graph.n, records, kills), _exit)
+    root_counts = {rec: run for run, recs in pi.pop(0).items() for rec in recs}
+    if root_counts:
+        _emit(root_counts)
+    order = sorted(range(len(emitted)),
+                   key=lambda i: (-_bucket(emitted[i][1]), emitted[i][0], i))
+    ordered_sizes = np.array([sizes[emitted[i][2]] for i in order],
+                             dtype=np.int64)
+    groups = [_bucket(emitted[i][1]) for i in order]
+    ids, _ = pack_ordered(ordered_sizes, C, group_ids=groups,
+                          start_chunk=start_chunk)
+    out = pd.DataFrame([emitted[i][2] for i in order],
+                       columns=["key", "origin"])
+    out["size"] = ordered_sizes
+    out["chunk"] = ids
+    return out.astype({"key": "int64", "origin": "int64"})
 
 
 def fig5_chain():
@@ -116,3 +193,55 @@ class TestBeta:
         ds = generate(g, n_base=50, pct_update=20, seed=4)
         asg = bottom_up_partition(g, ds.records, ds.kills, C=300, beta=3)
         assert len(asg) == ds.n_unique
+
+
+def _drawn_input(kind, n, seed, pct_update, frac_delete):
+    """A ``(graph, records, kills)`` input of the given kind."""
+    if kind == "empty":
+        records = df_records([]).astype(
+            {"key": "int64", "origin": "int64", "size": "int64"})
+        return chain(n), records, df_kills([])
+    if kind == "one version":
+        g = chain(1)
+    elif kind == "chain":
+        g = chain(n)
+    else:
+        g = random_tree(max(n, 2), seed=seed,
+                        deepen_prob=0.95 if kind == "deep" else 0.5)
+    ds = generate(g, n_base=12, pct_update=pct_update,
+                  frac_delete=frac_delete, record_size=(1, 200),
+                  with_payload=False, seed=seed)
+    records, kills = ds.records, ds.kills
+    if kind == "reinserted":
+        records = reinsert_deleted(g, records, kills)
+    elif kind == "dag" and g.n >= 4:
+        # A merge of the last version with a version off its ancestor path.
+        v = g.n - 1
+        others = [u for u in range(g.n) if u not in g.ancestors(v) and u != v]
+        if others:
+            dag = VersionGraph(list(g.parent),
+                               extra_parents={v: [others[seed % len(others)]]})
+            g, records, kills = dag_to_tree(dag, records, kills)
+    return g, records, kills
+
+
+class TestAgainstReference:
+    """The incremental recursion equals the per-version rebuild."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(["chain", "bushy", "deep", "reinserted",
+                                 "dag", "one version", "empty"]),
+           n=st.integers(1, 30), seed=st.integers(0, 10_000),
+           pct_update=st.integers(1, 80),
+           frac_delete=st.sampled_from([0.1, 0.6, 0.9]),
+           beta=st.sampled_from([None, 1, 2, 3, 10]),
+           C=st.integers(1, 3000), start_chunk=st.integers(0, 50))
+    def test_frame_identical(self, kind, n, seed, pct_update, frac_delete,
+                             beta, C, start_chunk):
+        g, records, kills = _drawn_input(kind, n, seed, pct_update,
+                                         frac_delete)
+        pd.testing.assert_frame_equal(
+            reference_bottom_up(g, records, kills, C, beta=beta,
+                                start_chunk=start_chunk),
+            bottom_up_partition(g, records, kills, C, beta=beta,
+                                start_chunk=start_chunk))

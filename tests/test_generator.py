@@ -6,7 +6,7 @@ import pytest
 from repro.versioned.generator import generate
 from repro.versioned.graph import chain, random_tree
 from repro.versioned.membership import membership_pd
-from repro.versioned.walker import walk
+from repro.versioned.walker import deltas_by_version, walk
 
 
 @pytest.fixture(scope="module")
@@ -44,7 +44,8 @@ class TestStructuralInvariants:
 
     def test_deltas_replay_consistently(self, small_ds):
         g, ds = small_ds
-        walk(g, ds.records, ds.kills, lambda v, live: None)  # raises if not
+        walk(g, *deltas_by_version(g.n, ds.records, ds.kills),
+             lambda v, live: None)  # raises if not
 
     def test_root_has_n_base_records(self, small_ds):
         g, ds = small_ds

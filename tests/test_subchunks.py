@@ -14,7 +14,7 @@ from repro.versioned.generator import generate
 from repro.versioned.graph import VersionGraph, chain, dag_to_tree, random_tree
 from repro.versioned.membership import membership_pd
 
-from tests.paper_examples import fig7
+from tests.paper_examples import fig7, reinsert_deleted
 
 
 def sc_groups(sc_assign):
@@ -169,17 +169,6 @@ class TestScDataset:
         assert screc["size"].sum() == cs["comp_bytes"].sum()
 
 
-def _reinsert_deleted(g, records: pd.DataFrame, kills: pd.DataFrame):
-    """``records`` plus, for every key deleted at a version with children,
-    the key inserted again at that version's first child."""
-    rec = set(zip(records["key"].tolist(), records["origin"].tolist()))
-    again = [(k, g.children[v][0], 100, None)
-             for k, v in zip(kills["key"].tolist(), kills["kill_vid"].tolist())
-             if (k, v) not in rec and g.children[v]]
-    return pd.concat([records, pd.DataFrame(again, columns=records.columns)],
-                     ignore_index=True)
-
-
 class TestRegionRowsDistinct:
     """A version holds one live record of a key and a sub-chunk holds one
     key, so membership ⋈ sub-chunks has distinct ``(vid, sc)`` rows."""
@@ -200,7 +189,7 @@ class TestRegionRowsDistinct:
         g = random_tree(40, deepen_prob=0.7, seed=seed)
         ds = generate(g, n_base=30, pct_update=50, frac_delete=0.6,
                       with_payload=False, seed=seed)
-        records = _reinsert_deleted(g, ds.records, ds.kills)
+        records = reinsert_deleted(g, ds.records, ds.kills)
         assert len(records) > ds.n_unique
         self.check(g, records, ds.kills)
 
@@ -282,6 +271,13 @@ PINNED = {
                       "bottom_up": "6ffb41b839de8293248b"},
 }
 
+# BOTTOM-UP on the raw records (no sub-chunks) at C = 5000, by β, computed
+# at commit 35f8f06 (the per-version rebuild of every π-collection).
+PINNED_BOTTOM_UP = {("B0s", None): "66e0ffc564d56df416aa",
+                    ("B0s", 3): "857bcf2c39a1ed85e704",
+                    ("deletes", None): "4df1405b661cea98dd49",
+                    ("deletes", 3): "e81ed6e69ba5276b588e"}
+
 
 class TestPinnedOutputs:
     """Every output is identical, row for row, to the pinned reference."""
@@ -311,6 +307,13 @@ class TestPinnedOutputs:
                .reset_index(drop=True),
                "bottom_up": bottom_up_partition(g, screc, sckill, 5000)}
         assert {n: _digest(df) for n, df in got.items()} == PINNED[(name, k)]
+
+    @pytest.mark.parametrize("name,beta", list(PINNED_BOTTOM_UP))
+    def test_bottom_up_raw_records(self, inputs, name, beta):
+        ds, _ = inputs[name]
+        got = bottom_up_partition(ds.graph, ds.records, ds.kills, 5000,
+                                  beta=beta)
+        assert _digest(got) == PINNED_BOTTOM_UP[(name, beta)]
 
 
 def _parent_record(g, exists, key, origin):

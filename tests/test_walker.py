@@ -8,6 +8,10 @@ from repro.versioned.walker import deltas_by_version, live_sets, walk
 from tests.paper_examples import df_kills, df_records, example2
 
 
+def deltas(g, rec, kills):
+    return deltas_by_version(g.n, rec, kills)
+
+
 class TestLiveSets:
     def test_example2_contents(self):
         g, rec, kills, expected = example2()
@@ -33,13 +37,13 @@ class TestWalkCallbacks:
     def test_exit_order_is_postorder(self):
         g, rec, kills, _ = example2()
         seen = []
-        walk(g, rec, kills, lambda v, live: seen.append(v))
+        walk(g, *deltas(g, rec, kills), lambda v, live: seen.append(v))
         assert seen == g.postorder()
 
     def test_enter_callback_sees_applied_delta(self):
         g, rec, kills, expected = example2()
         entered = {}
-        walk(g, rec, kills, lambda v, live: None,
+        walk(g, *deltas(g, rec, kills), lambda v, live: None,
              on_enter=lambda v, live: entered.update({v: set(live.items())}))
         assert {k for k, _ in entered[1]} == {0, 1, 2, 3, 4}
 
@@ -50,13 +54,13 @@ class TestConsistencyChecks:
         rec = df_records([(0, 0)])
         kills = df_kills([(0, 5, 1)])  # live origin is 0, not 5
         with pytest.raises(ValueError, match="inconsistent"):
-            walk(g, rec, kills, lambda v, live: None)
+            walk(g, *deltas(g, rec, kills), lambda v, live: None)
 
     def test_add_over_live_record_raises(self):
         g = chain(2)
         rec = df_records([(0, 0), (0, 1)])  # re-add without kill
         with pytest.raises(ValueError, match="inconsistent"):
-            walk(g, rec, df_kills([]), lambda v, live: None)
+            walk(g, *deltas(g, rec, df_kills([])), lambda v, live: None)
 
 
 class TestDeltasByVersion:
