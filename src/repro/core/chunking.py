@@ -61,10 +61,10 @@ def pack_ordered(sizes: Sequence[int], C: int,
 
     if len(partials) > 1:
         # First-fit decreasing over the closed partial chunks; full chunks
-        # (fill ≥ C) are left alone. Remap merged ids in one vector pass.
+        # (fill ≥ C) are left alone. Remap merged ids by one array lookup.
         limit = int(C * OVERFLOW)
         open_bins: list[tuple[int, int]] = []  # (target_chunk, fill)
-        remap: dict[int, int] = {}
+        remap = np.arange(start_chunk, next_id, dtype=np.int64)
         for cid, fill in sorted(partials, key=lambda t: -t[1]):
             if fill >= C:
                 continue
@@ -72,13 +72,11 @@ def pack_ordered(sizes: Sequence[int], C: int,
             for j, (tgt, tfill) in enumerate(open_bins):
                 if tfill + fill <= limit:
                     open_bins[j] = (tgt, tfill + fill)
-                    remap[cid] = tgt
+                    remap[cid - start_chunk] = tgt
                     placed = True
                     break
             if not placed:
                 open_bins.append((cid, fill))
-        if remap:
-            ids = np.array([remap.get(int(c), int(c)) for c in ids],
-                           dtype=np.int64)
+        ids = remap[ids - start_chunk]
     return ids, next_id
 

@@ -10,13 +10,12 @@ and data/queries for a random point query.
 """
 from __future__ import annotations
 
-import zlib
-
 import numpy as np
 import pandas as pd
 
 from ..core.baselines import delta_partition, delta_version_spans
 from ..core.cost_model import Table1Params, table1_rows
+from ..core.subchunks import compress_subchunks
 from ..versioned.generator import generate
 from ..versioned.graph import chain
 from ..versioned.membership import membership_pd
@@ -26,6 +25,14 @@ def analytic(params: Table1Params | None = None) -> pd.DataFrame:
     params = params or Table1Params(n=100, m_v=100_000, d=0.1, c=0.2,
                                     s=100, s_c=1 << 20)
     return pd.DataFrame(table1_rows(params))
+
+
+def _zlib_bytes(ds, column: str) -> pd.Series:
+    """Zlib-compressed bytes of each group of records sharing ``column``
+    (``origin``: a DELTA delta; ``key``: a SubChunk group), by group."""
+    groups = ds.records[["key", "origin"]].assign(sc=ds.records[column])
+    sizes = compress_subchunks(ds.records, groups, ds.graph.depths())
+    return sizes.set_index("sc")["comp_bytes"]
 
 
 def empirical(*, n: int = 60, m_v: int = 400, d: float = 0.1,
@@ -57,13 +64,10 @@ def empirical(*, n: int = 60, m_v: int = 400, d: float = 0.1,
 
     # DELTA — per-version deltas; queries walk the root path. Data moved is
     # the (compressed) delta chain; point queries must do the same.
-    delta_bytes = {}
-    for origin, grp in ds.records.groupby("origin"):
-        blob = "".join(grp["payload"]).encode("ascii")
-        delta_bytes[origin] = len(zlib.compress(blob, 6))
+    delta_bytes = _zlib_bytes(ds, "origin").reindex(range(n), fill_value=0)
     d_asg = delta_partition(g, ds.records, chunk_bytes)
     spans = delta_version_spans(g, d_asg)
-    chain_bytes = np.cumsum([delta_bytes.get(v, 0) for v in range(n)])
+    chain_bytes = np.cumsum(delta_bytes.to_numpy())
     rows.append({"algorithm": "DELTA", "storage": int(chain_bytes[-1]),
                  "version_data": float(np.mean(chain_bytes[q_versions])),
                  "version_queries": float(np.mean(spans.loc[q_versions])),
@@ -71,12 +75,11 @@ def empirical(*, n: int = 60, m_v: int = 400, d: float = 0.1,
                  "point_queries": float(np.mean(spans.loc[q_versions]))})
 
     # SubChunk — all records of a key compressed together.
-    key_bytes = {k: len(zlib.compress("".join(
-        grp.sort_values("origin")["payload"]).encode("ascii"), 6))
-        for k, grp in ds.records.groupby("key")}
+    key_bytes = _zlib_bytes(ds, "key")
     v_counts = mem.groupby("vid")["key"].nunique()
-    v_data = [sum(key_bytes[k] for k in mem[mem.vid == v]["key"]) for v in q_versions]
-    rows.append({"algorithm": "SubChunk", "storage": sum(key_bytes.values()),
+    v_data = [key_bytes.loc[mem[mem.vid == v]["key"]].sum()
+              for v in q_versions]
+    rows.append({"algorithm": "SubChunk", "storage": int(key_bytes.sum()),
                  "version_data": float(np.mean(v_data)),
                  "version_queries": float(v_counts.loc[q_versions].mean()),
                  "point_data": float(np.mean([key_bytes[k] for k in q_keys])),

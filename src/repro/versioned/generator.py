@@ -10,9 +10,12 @@ child's payload differs from the parent's by at most ``p_d`` (Fig 10's
 knob), so zlib compression of same-key records behaves like the paper's
 record-level compression.
 
-Deltas are generated along a DFS of the version tree with an undo log, so
-memory stays O(records-per-version) regardless of version count, and every
-version's RNG is seeded by ``(seed, vid)`` for order-independence.
+Each version's delta is drawn from its parent's live set inside
+:func:`repro.versioned.walker.walk` (its ``on_enter`` hook), so the walk
+that replays every delta is the walker's, and every generated delta passes
+its consistency checks. Memory is O(total delta): the emitted records and
+kills, plus the walker's undo log. Every version's RNG is seeded by
+``(seed, vid)`` for order-independence.
 """
 from __future__ import annotations
 
@@ -24,6 +27,7 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import types as T
 
 from .graph import VersionGraph
+from .walker import walk
 
 _RECORDS_SCHEMA = T.StructType([
     T.StructField("key", T.LongType(), False),
@@ -111,138 +115,76 @@ def generate(graph: VersionGraph, *, n_base: int, pct_update: float,
             return int(g.integers(record_size[0], record_size[1] + 1))
         return int(record_size)
 
-    rec_key: list[int] = []
-    rec_origin: list[int] = []
-    rec_size: list[int] = []
-    rec_payload: list = []
-    kill_rows: list[tuple[int, int, int]] = []
-
-    def _emit(key: int, origin: int, size: int, payload) -> None:
-        rec_key.append(key)
-        rec_origin.append(origin)
-        rec_size.append(size)
-        rec_payload.append(payload.tobytes().decode("ascii")
-                           if payload is not None else None)
-
-    # Live state along the DFS path.
-    live_origin: dict[int, int] = {}
-    live_size: dict[int, int] = {}
-    live_payload: dict[int, np.ndarray] = {}
-    live_bytes = 0
-    next_key = n_base
+    # (key, origin) → (size, payload) of every record, in emission order.
+    rec: dict[tuple[int, int], tuple[int, str | None]] = {}
+    adds: list[list] = [[] for _ in range(graph.n)]
+    kls: list[list] = [[] for _ in range(graph.n)]
     version_bytes = np.zeros(graph.n, dtype=np.int64)
     version_counts = np.zeros(graph.n, dtype=np.int64)
+    next_key = 0
 
-    g0 = np.random.default_rng((seed, 0))
-    root_payloads = {}
-    for k in range(n_base):
-        size = _size_for(g0)
-        pl = _rand_payload(g0, size) if with_payload else None
-        root_payloads[k] = pl
-        live_origin[k] = 0
-        live_size[k] = size
-        if with_payload:
-            live_payload[k] = pl
-        live_bytes += size
-        _emit(k, 0, size, pl)
-    version_bytes[0] = live_bytes
-    version_counts[0] = n_base
+    def _emit(key: int, origin: int, size: int, payload) -> None:
+        rec[(key, origin)] = (size, payload.tobytes().decode("ascii")
+                              if payload is not None else None)
+        adds[origin].append((key, size))
 
-    # Iterative DFS with undo so sibling branches see identical parent state.
-    undo_stack: list[list] = []
-    stack: list[tuple[int, int]] = [(0, 1)]
-    for c in reversed(graph.children[0]):
-        stack.append((c, 0))
-
-    while stack:
-        v, phase = stack.pop()
-        if phase == 1:
-            if v != 0:
-                for key, o, s, pl in reversed(undo_stack.pop()):
-                    if key in live_origin:
-                        live_bytes -= live_size[key]
-                        del live_origin[key]
-                        del live_size[key]
-                        live_payload.pop(key, None)
-                    if o is not None:
-                        live_origin[key] = o
-                        live_size[key] = s
-                        live_bytes += s
-                        if pl is not None:
-                            live_payload[key] = pl
-            continue
+    def _derive(v: int, live: dict) -> None:
+        """Draw ``v``'s delta from its parent's live set ``live``; the root
+        is a version whose delta is ``n_base`` inserts."""
+        nonlocal next_key
         g = np.random.default_rng((seed, v))
-        log: list = []  # (key, prev_origin|None, prev_size, prev_payload)
-        n_live = len(live_origin)
-        n_change = max(1, int(round(pct_update / 100.0 * n_live)))
-        n_del = int(round(frac_delete * n_change))
-        n_ins = int(round(frac_insert * n_change))
-        n_upd = max(0, n_change - n_del - n_ins)
-        n_touch = min(n_del + n_upd, n_live)
-
-        keys = np.fromiter(live_origin.keys(), dtype=np.int64, count=n_live)
-        keys.sort()
-        if update_type == "zipf":
-            w = 1.0 / np.arange(1, n_live + 1, dtype=np.float64) ** zipf_alpha
-            w /= w.sum()
-            chosen = g.choice(keys, size=n_touch, replace=False, p=w)
+        p = graph.parent[v]
+        dels, upds = [], []
+        if p is None:
+            n_ins = n_base
         else:
-            chosen = g.choice(keys, size=n_touch, replace=False)
-        dels, upds = chosen[:min(n_del, n_touch)], chosen[min(n_del, n_touch):]
+            n_live = len(live)
+            n_change = max(1, int(round(pct_update / 100.0 * n_live)))
+            n_del = int(round(frac_delete * n_change))
+            n_ins = int(round(frac_insert * n_change))
+            n_upd = max(0, n_change - n_del - n_ins)
+            n_touch = min(n_del + n_upd, n_live)
+            keys = np.fromiter(live.keys(), dtype=np.int64, count=n_live)
+            keys.sort()
+            if update_type == "zipf":
+                w = 1.0 / np.arange(1, n_live + 1,
+                                    dtype=np.float64) ** zipf_alpha
+                w /= w.sum()
+                chosen = g.choice(keys, size=n_touch, replace=False, p=w)
+            else:
+                chosen = g.choice(keys, size=n_touch, replace=False)
+            k = min(n_del, n_touch)
+            dels, upds = chosen[:k].tolist(), chosen[k:].tolist()
 
-        for key in dels:
-            key = int(key)
-            o = live_origin.pop(key)
-            s = live_size.pop(key)
-            pl = live_payload.pop(key, None)
-            live_bytes -= s
-            kill_rows.append((key, o, v))
-            log.append((key, o, s, pl))
+        kls[v] += [(key, live[key]) for key in dels + upds]
         for key in upds:
-            key = int(key)
-            o = live_origin[key]
-            s = live_size[key]
-            pl = live_payload.get(key)
-            kill_rows.append((key, o, v))
-            log.append((key, o, s, pl))
-            new_pl = _mutate(g, pl, p_d) if pl is not None else None
-            live_origin[key] = v
-            if new_pl is not None:
-                live_size[key] = len(new_pl)
-                live_payload[key] = new_pl
-            _emit(key, v, live_size[key], new_pl)
-        for _ in range(n_ins):
-            key = next_key
-            next_key += 1
-            size = _size_for(g)
-            pl = _rand_payload(g, size) if with_payload else None
-            live_origin[key] = v
-            live_size[key] = size
+            size, pl = rec[(key, live[key])]
             if pl is not None:
-                live_payload[key] = pl
-            live_bytes += size
-            log.append((key, None, None, None))
+                pl = _mutate(g, np.frombuffer(pl.encode("ascii"), np.uint8),
+                             p_d)
             _emit(key, v, size, pl)
+        for _ in range(n_ins):
+            size = _size_for(g)
+            _emit(next_key, v, size,
+                  _rand_payload(g, size) if with_payload else None)
+            next_key += 1
 
-        version_bytes[v] = live_bytes
-        version_counts[v] = len(live_origin)
-        undo_stack.append(log)
-        stack.append((v, 1))
-        for c in reversed(graph.children[v]):
-            stack.append((c, 0))
+        if p is not None:
+            version_bytes[v] = version_bytes[p]
+            version_counts[v] = version_counts[p]
+        version_bytes[v] += (sum(size for _, size in adds[v])
+                             - sum(rec[r][0] for r in kls[v]))
+        version_counts[v] += len(adds[v]) - len(kls[v])
 
-    records = pd.DataFrame({
-        "key": np.array(rec_key, dtype=np.int64),
-        "origin": np.array(rec_origin, dtype=np.int64),
-        "size": np.array(rec_size, dtype=np.int64),
-        "payload": rec_payload,
-    })
-    kills = pd.DataFrame(
-        kill_rows, columns=["key", "origin", "kill_vid"]
-    ).astype(np.int64) if kill_rows else pd.DataFrame(
-        {"key": pd.Series(dtype=np.int64),
-         "origin": pd.Series(dtype=np.int64),
-         "kill_vid": pd.Series(dtype=np.int64)})
+    walk(graph, adds, kls, lambda v, live: None, on_enter=_derive)
+
+    records = pd.DataFrame(
+        [(k, o, size, pl) for (k, o), (size, pl) in rec.items()],
+        columns=["key", "origin", "size", "payload"]).astype(
+            {"key": np.int64, "origin": np.int64, "size": np.int64})
+    kills = pd.DataFrame(  # in the order the walk drew them
+        [(k, o, v) for v in graph.dfs_order() for k, o in kls[v]],
+        columns=["key", "origin", "kill_vid"], dtype=np.int64)
     return VersionedDataset(
         graph=graph, records=records, kills=kills,
         config={"n_base": n_base, "pct_update": pct_update,

@@ -6,10 +6,13 @@ version of the live record). Materializing one set per version is
 O(n · m'); instead we DFS the tree applying each version's delta on entry
 and undoing it on exit, so the cost is proportional to total delta size.
 
-``on_exit(v, live)`` fires when every child of ``v`` has been processed
-and ``live`` again equals ``S_v`` — the state the BOTTOM-UP recursion
-needs (DESIGN §6). :func:`walk` replays the per-version deltas of
-:func:`deltas_by_version`, so a caller that also reads the deltas (as
+``on_enter(v, live)`` fires *before* ``v``'s delta is applied, so ``live``
+is the parent's live set: the generator draws ``v``'s delta from it and
+appends it to ``adds[v]`` / ``kls[v]``, which the walk then applies and
+checks. ``on_exit(v, live)`` fires when every child of ``v`` has been
+processed and ``live`` again equals ``S_v`` — the state the BOTTOM-UP
+recursion needs (DESIGN §6). :func:`walk` replays the per-version deltas
+of :func:`deltas_by_version`, so a caller that also reads the deltas (as
 BOTTOM-UP does) splits the records once.
 """
 from __future__ import annotations
@@ -58,7 +61,8 @@ def walk(graph, adds: list[list], kls: list[list],
     ``kls``; see module docstring.
 
     ``live`` maps primary key → origin of the record live at the current
-    version. Callbacks must not mutate ``live``.
+    version. Callbacks must not mutate ``live``; ``on_enter(v, live)`` may
+    append to ``adds[v]`` and ``kls[v]``.
     """
     live: dict[int, int] = {}
     # Stack of (version, phase); phase 0 = enter, 1 = exit. An undo log per
@@ -68,6 +72,8 @@ def walk(graph, adds: list[list], kls: list[list],
     while stack:
         v, phase = stack.pop()
         if phase == 0:
+            if on_enter is not None:
+                on_enter(v, live)
             log = []
             for key, origin in kls[v]:
                 prev = live.pop(key, None)
@@ -84,8 +90,6 @@ def walk(graph, adds: list[list], kls: list[list],
                 live[key] = v
                 log.append((key, None))
             undo[v] = log
-            if on_enter is not None:
-                on_enter(v, live)
             stack.append((v, 1))
             for c in reversed(graph.children[v]):
                 stack.append((c, 0))

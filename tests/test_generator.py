@@ -1,4 +1,6 @@
 """Tests for the synthetic versioned-dataset generator (§5.1)."""
+import hashlib
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -129,3 +131,46 @@ class TestTotals:
         sizes = ds.sizes()
         assert len(sizes) == ds.n_unique
         assert all(v == 50 for v in sizes.values())
+
+
+def _digest(ds) -> str:
+    """SHA-256 (first 20 hex digits) of a dataset's records (key, origin,
+    size, payload), kills, version bytes and version counts, in row order."""
+    h = hashlib.sha256()
+    for df in (ds.records[["key", "origin", "size"]], ds.kills):
+        for c in df.columns:
+            h.update(f"{c}:{df[c].dtype}".encode())
+            h.update(np.ascontiguousarray(df[c].to_numpy()).tobytes())
+    h.update("\n".join("-" if p is None else p
+                       for p in ds.records["payload"]).encode())
+    for a in (ds.version_bytes, ds.version_counts):
+        h.update(str(a.dtype).encode())
+        h.update(a.tobytes())
+    return h.hexdigest()[:20]
+
+
+# Seeded inputs and their digests, computed at commit 09aaf20 (the
+# generator's own DFS with an undo log). "deletes" empties 10 versions.
+PINNED = {
+    "chain": (lambda: generate(chain(40), n_base=60, pct_update=20, seed=3),
+              "62d4f49a623f8f228d3c"),
+    "zipf_tree": (lambda: generate(
+        random_tree(50, deepen_prob=0.7, seed=4), n_base=80, pct_update=15,
+        update_type="zipf", p_d=0.2, seed=5), "a73cc59329e841076b8b"),
+    "sized": (lambda: generate(
+        random_tree(40, deepen_prob=0.8, seed=6), n_base=50, pct_update=20,
+        record_size=(20, 300), seed=7), "10bec2d615749a9af561"),
+    "no_payload": (lambda: generate(
+        random_tree(60, deepen_prob=0.6, seed=8), n_base=70, pct_update=25,
+        with_payload=False, seed=9), "027125fedcedd094f4f9"),
+    "deletes": (lambda: generate(
+        random_tree(60, deepen_prob=0.5, seed=10), n_base=40, pct_update=100,
+        frac_delete=0.6, record_size=(30, 90), seed=11),
+        "af849d765884eda33b47"),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED))
+def test_pinned_output(name):
+    make, want = PINNED[name]
+    assert _digest(make()) == want

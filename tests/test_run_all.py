@@ -1,12 +1,14 @@
 """Tests for the table registry of ``jobs/run_all.py``, without Spark."""
 import importlib.util
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 RUN_ALL = ROOT / "jobs" / "run_all.py"
+COMPARE = ROOT / "jobs" / "compare_results.py"
 
 
 def _load_run_all():
@@ -21,9 +23,35 @@ def test_every_committed_result_has_one_producer():
     assert set(_load_run_all().TABLES) == committed
 
 
+def _env(**extra) -> dict:
+    return {**os.environ, "PYTHONPATH": str(ROOT / "src"), **extra}
+
+
 def test_unknown_table_exits_2_and_lists_valid_names():
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    env = _env()
     res = subprocess.run([sys.executable, str(RUN_ALL), "no_such_table"],
                          capture_output=True, text=True, env=env, timeout=120)
     assert res.returncode == 2
     assert "no_such_table" in res.stderr and "fig11_queries" in res.stderr
+
+
+def test_spark_free_tables_reproduce_committed_results(tmp_path):
+    """Rebuilding the tables that need no Spark (table1_analytic,
+    table1_empirical, table2_datasets, fig9_beta, fig12_scalability,
+    fig13_online) gives the committed CSVs, cell for cell outside
+    wall-clock columns."""
+    spark_free = [n for n, t in _load_run_all().TABLES.items() if not t.spark]
+    built, committed = tmp_path / "built", tmp_path / "committed"
+    committed.mkdir()
+    for name in spark_free:
+        shutil.copy(ROOT / "results" / f"{name}.csv", committed)
+    res = subprocess.run(
+        [sys.executable, str(RUN_ALL), *spark_free], cwd=ROOT,
+        capture_output=True, text=True, timeout=600,
+        env=_env(REPRO_RESULTS_DIR=str(built)))
+    assert res.returncode == 0, res.stderr
+    res = subprocess.run(
+        [sys.executable, str(COMPARE), str(committed), str(built)],
+        capture_output=True, text=True, env=_env(), timeout=120)
+    assert res.returncode == 0, res.stdout + res.stderr
+    assert "no differences" in res.stdout

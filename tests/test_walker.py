@@ -40,12 +40,32 @@ class TestWalkCallbacks:
         walk(g, *deltas(g, rec, kills), lambda v, live: seen.append(v))
         assert seen == g.postorder()
 
-    def test_enter_callback_sees_applied_delta(self):
+    def test_enter_callback_sees_parent_live_set(self):
+        # on_enter fires before v's delta is applied: `live` is S_parent.
         g, rec, kills, expected = example2()
         entered = {}
         walk(g, *deltas(g, rec, kills), lambda v, live: None,
              on_enter=lambda v, live: entered.update({v: set(live.items())}))
-        assert {k for k, _ in entered[1]} == {0, 1, 2, 3, 4}
+        assert entered[0] == set()
+        for v in range(1, g.n):
+            assert entered[v] == expected[g.parent[v]], f"version {v}"
+
+    @pytest.mark.parametrize("delta", [
+        ("kls", (0, 5)),  # kill of a non-live origin
+        ("adds", (0, 100)),  # add over a live record
+    ])
+    def test_delta_from_enter_callback_is_checked(self, delta):
+        # A delta handed over by on_enter passes the same checks.
+        g = chain(2)
+        adds, kls = deltas(g, df_records([(0, 0)]), df_kills([]))
+        which, item = delta
+
+        def _enter(v, live):
+            if v == 1:
+                (kls if which == "kls" else adds)[v].append(item)
+
+        with pytest.raises(ValueError, match="inconsistent"):
+            walk(g, adds, kls, lambda v, live: None, on_enter=_enter)
 
 
 class TestConsistencyChecks:
