@@ -102,7 +102,7 @@ def bottom_up_partition(graph, records: pd.DataFrame, kills: pd.DataFrame,
         dead_code: list[int] = []
         dead_run: list[int] = []
         # Records born at a child end there: they are dead at v.
-        for key, _size in adds[c0]:
+        for key in adds[c0]:
             rec = key * n + c0
             r = run_of.pop(rec)
             _drop(members, rec, r)
@@ -110,7 +110,7 @@ def bottom_up_partition(graph, records: pd.DataFrame, kills: pd.DataFrame,
             dead_run.append(r + off)
         for c in children[1:]:
             c_run_of, _, c_off = pi.pop(c)
-            for key, _size in adds[c]:
+            for key in adds[c]:
                 rec = key * n + c
                 dead_code.append(rec)
                 dead_run.append(c_run_of.pop(rec) + c_off)

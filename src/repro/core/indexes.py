@@ -18,6 +18,7 @@ benchmark's and the tests' reference.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import pandas as pd
@@ -57,6 +58,12 @@ class IndexSet:
 
     def chunks_for_key(self, key: int) -> list[int]:
         return self.key_to_chunks.get(int(key), [])
+
+    @cached_property
+    def sorted_keys(self) -> list[int]:
+        """The keys of ``key_to_chunks`` in ascending order, for range
+        lookups by bisection; built on first use."""
+        return sorted(self.key_to_chunks)
 
     def sizes_bytes(self) -> dict:
         """Approximate in-memory footprint of each projection, counting 8

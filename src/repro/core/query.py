@@ -17,6 +17,7 @@ fetched rows: a match in the flattened ``vids`` and a test on ``key``.
 """
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import pandas as pd
@@ -54,11 +55,11 @@ def plan_full_version(indexes: IndexSet, vid: int,
 def plan_range(indexes: IndexSet, vid: int, key_lo: int, key_hi: int,
                cost: CostModel = QUERY_MODEL) -> Plan:
     """Q2: the version's chunks ∩ the union of the chunks of the keys in
-    ``[key_lo, key_hi]``."""
+    ``[key_lo, key_hi]``, found by bisecting the sorted keys."""
+    keys = indexes.sorted_keys
     k_chunks: set[int] = set()
-    for key, chunks in indexes.key_to_chunks.items():
-        if key_lo <= key <= key_hi:
-            k_chunks.update(chunks)
+    for key in keys[bisect_left(keys, key_lo):bisect_right(keys, key_hi)]:
+        k_chunks.update(indexes.key_to_chunks[key])
     ids = sorted(set(indexes.chunks_for_version(vid)) & k_chunks)
     return _charge(indexes, ids, cost)
 

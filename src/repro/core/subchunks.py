@@ -27,6 +27,7 @@ import zlib
 import numpy as np
 import pandas as pd
 
+from ..versioned.walker import codes_of, rows_of
 from .bottom_up import bottom_up_partition
 from .shingle import shingle_partition
 from .traversal import dfs_partition
@@ -144,18 +145,20 @@ def compress_subchunks(records: pd.DataFrame, sc_assign: pd.DataFrame,
     Returns per-sub-chunk ``(sc, raw_bytes, comp_bytes, n_members)`` in
     ``sc`` order. Without payloads the compressed size falls back to the
     raw sum (compression ratio 1 — the k=1 semantics). One stable sort by
-    ``(sc, depth, origin)`` lays every sub-chunk out as a slice.
+    ``(sc, depth, origin)`` lays every sub-chunk out as a slice. A record
+    that ``sc_assign`` does not hold raises ``KeyError``.
     """
-    df = records.merge(sc_assign, on=["key", "origin"])
-    origin = df["origin"].to_numpy(np.int64)
-    sc = df["sc"].to_numpy(np.int64)
+    n = len(depths)
+    origin = records["origin"].to_numpy(np.int64)
+    sc = sc_assign["sc"].to_numpy(np.int64)[
+        rows_of(codes_of(sc_assign, n), codes_of(records, n))]
     order = np.lexsort((origin, depths[origin], sc))
     sc = sc[order]
     starts, ends = _runs(sc)
-    raw = np.add.reduceat(df["size"].to_numpy(np.int64)[order], starts)
+    raw = np.add.reduceat(records["size"].to_numpy(np.int64)[order], starts)
     comp = raw
-    if "payload" in df.columns and df["payload"].notna().all():
-        payloads = df["payload"].to_numpy()[order].tolist()
+    if "payload" in records.columns and records["payload"].notna().all():
+        payloads = records["payload"].to_numpy()[order].tolist()
         zipped = np.fromiter(
             (len(zlib.compress("".join(payloads[s:e]).encode("ascii"), 6))
              for s, e in zip(starts.tolist(), ends.tolist())),
@@ -180,44 +183,76 @@ def sc_dataset(graph, membership: pd.DataFrame, sc_assign: pd.DataFrame,
     Returns ``(sc_records, sc_kills, sc_region)`` where sc_records has
     columns (key=sc, origin, size=comp_bytes) in ``sc`` order and
     sc_region is the exact ``(vid, sc)`` membership used for SHINGLE and
-    span evaluation; its rows are distinct, as a version holds one live
-    record of a key and a sub-chunk holds one key. One sort of the
-    membership rows by ``sc`` lays every region out as a slice.
+    span evaluation, in ``membership``'s row order; its rows are distinct,
+    as a version holds one live record of a key and a sub-chunk holds one
+    key. A membership row whose record ``sc_assign`` does not hold raises
+    ``KeyError``.
+
+    The kills come from record kills, for every membership row at once:
+    a child of ``v`` outside the region of a record live at ``v`` kills
+    the record there. A kill at the origin of another member of the same
+    sub-chunk is internal and links that member to its parent member; the
+    component of the representative is the members whose chain of links
+    ends at the representative's record, and the sub-chunk's kills are
+    their other kills.
     """
-    depths = graph.depths()
-    m = membership.merge(sc_assign, on=["key", "origin"])
-    sc_region = m[["vid", "sc"]]
+    n, depths, R = graph.n, graph.depths(), len(sc_assign)
+    sc_code = codes_of(sc_assign, n)
+    rec = rows_of(sc_code, codes_of(membership, n))
+    sc_of = sc_assign["sc"].to_numpy(np.int64)
+    key_of = sc_assign["key"].to_numpy(np.int64)
+    origin_of = sc_assign["origin"].to_numpy(np.int64)
+    vid = membership["vid"].to_numpy(np.int64)
+    sc_region = pd.DataFrame({"vid": vid, "sc": sc_of[rec]})
 
-    sc_all = m["sc"].to_numpy(np.int64)
-    order = np.argsort(sc_all)
-    sc = sc_all[order]
-    starts, ends = _runs(sc)
-    vids = m["vid"].to_numpy(np.int64)[order].tolist()
-    # Representative: the member with the smallest (depth, origin).
-    origin = m["origin"].to_numpy(np.int64)[order]
-    code = depths[origin] * graph.n + origin
-    reps = np.minimum.reduceat(code, starts) % graph.n
-    ids = sc[starts]
-    sizes = sc_sizes.set_index("sc")["comp_bytes"].loc[ids].to_numpy(np.int64)
+    # Representative: the member with the smallest (depth, origin) among
+    # the records that membership holds; rep_of[r] is that of r's sub-chunk.
+    held = np.zeros(R, dtype=bool)
+    held[rec] = True
+    held = np.flatnonzero(held)
+    held = held[np.lexsort((origin_of[held], depths[origin_of[held]],
+                            sc_of[held]))]
+    starts, ends = _runs(sc_of[held])
+    first = held[starts]
+    rep_of = np.full(R, -1, dtype=np.int64)
+    rep_of[held] = np.repeat(first, ends - starts)
+    sizes = sc_sizes["comp_bytes"].to_numpy(np.int64)[
+        rows_of(sc_sizes["sc"].to_numpy(np.int64), sc_of[first])]
 
-    kill_rows = []
-    for sc_id, root, s, e in zip(ids.tolist(), reps.tolist(), starts.tolist(),
-                                 ends.tolist()):
-        region = set(vids[s:e])
-        # DFS the region's component from the representative; a child of
-        # the component outside the region kills the sub-chunk there.
-        stack = [root] if root in region else []
-        while stack:
-            for c in graph.children[stack.pop()]:
-                if c in region:
-                    stack.append(c)
-                else:
-                    kill_rows.append((sc_id, root, c))
-    sc_records = pd.DataFrame({"key": ids, "origin": reps, "size": sizes})
-    sc_kills = pd.DataFrame(kill_rows, columns=["key", "origin", "kill_vid"]
-                            ).astype("int64") if kill_rows else pd.DataFrame(
-        {"key": pd.Series(dtype="int64"), "origin": pd.Series(dtype="int64"),
-         "kill_vid": pd.Series(dtype="int64")})
+    # Expand each membership row (v, r) to v's children (CSR arrays); a
+    # child outside r's region kills r there.
+    fan = np.fromiter(map(len, graph.children), dtype=np.int64, count=n)
+    ptr = np.r_[0, np.cumsum(fan)]
+    child_of = np.fromiter((c for cs in graph.children for c in cs),
+                           dtype=np.int64, count=int(ptr[-1]))
+    fan = fan[vid]
+    r = np.repeat(rec, fan)
+    child = child_of[np.arange(len(r))
+                     + np.repeat(ptr[vid] - (np.cumsum(fan) - fan), fan)]
+    out = pd.Index(vid * R + rec).get_indexer(child * R + r) < 0
+    r, child = r[out], child[out]
+
+    # A kill at the origin of another member of the same sub-chunk is
+    # internal: it links that member to r. Pointer jumping finds each
+    # member's chain root; the representative's component is the members
+    # whose root is the representative.
+    j = pd.Index(sc_code).get_indexer(key_of[r] * n + child)
+    internal = (j >= 0) & (sc_of[j] == sc_of[r])
+    up = np.arange(R)
+    up[j[internal]] = r[internal]
+    for _ in range(R.bit_length() + 1):
+        nxt = up[up]
+        if (nxt == up).all():
+            break
+        up = nxt
+    else:
+        raise ValueError("membership links sub-chunk members in a cycle")
+    keep = ~internal & (up[r] == rep_of[r])
+    sc_records = pd.DataFrame({"key": sc_of[first], "origin": origin_of[first],
+                               "size": sizes})
+    sc_kills = pd.DataFrame({"key": sc_of[r[keep]],
+                             "origin": origin_of[rep_of[r[keep]]],
+                             "kill_vid": child[keep]})
     return sc_records, sc_kills, sc_region
 
 

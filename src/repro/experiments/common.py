@@ -15,14 +15,20 @@ RESULTS_DIR = Path(os.environ.get("REPRO_RESULTS_DIR", "results"))
 
 
 def get_spark(app: str) -> SparkSession:
-    """Session for ``jobs/run_all.py`` (tests use the fixture)."""
-    return (SparkSession.builder.appName(app)
-            .config("spark.sql.shuffle.partitions",
-                    os.environ.get("SPARK_SHUFFLE_PARTITIONS", "16"))
-            .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-            .config("spark.sql.autoBroadcastJoinThreshold", -1)
-            .config("spark.ui.enabled", "false")
-            .getOrCreate())
+    """Session for ``jobs/run_all.py`` (tests use the fixture).
+
+    ``SPARK_DRIVER_MEM``, when set, sizes the driver JVM, as in the tests'
+    ``conftest.py``; otherwise Spark's 1 GB default applies.
+    """
+    builder = (SparkSession.builder.appName(app)
+               .config("spark.sql.shuffle.partitions",
+                       os.environ.get("SPARK_SHUFFLE_PARTITIONS", "16"))
+               .config("spark.sql.execution.arrow.pyspark.enabled", "true")
+               .config("spark.sql.autoBroadcastJoinThreshold", -1)
+               .config("spark.ui.enabled", "false"))
+    if mem := os.environ.get("SPARK_DRIVER_MEM"):
+        builder = builder.config("spark.driver.memory", mem)
+    return builder.getOrCreate()
 
 
 def to_markdown(df: pd.DataFrame, floatfmt: str = "{:.3f}") -> str:

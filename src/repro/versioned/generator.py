@@ -126,7 +126,7 @@ def generate(graph: VersionGraph, *, n_base: int, pct_update: float,
     def _emit(key: int, origin: int, size: int, payload) -> None:
         rec[(key, origin)] = (size, payload.tobytes().decode("ascii")
                               if payload is not None else None)
-        adds[origin].append((key, size))
+        adds[origin].append(key)
 
     def _derive(v: int, live: dict) -> None:
         """Draw ``v``'s delta from its parent's live set ``live``; the root
@@ -172,7 +172,7 @@ def generate(graph: VersionGraph, *, n_base: int, pct_update: float,
         if p is not None:
             version_bytes[v] = version_bytes[p]
             version_counts[v] = version_counts[p]
-        version_bytes[v] += (sum(size for _, size in adds[v])
+        version_bytes[v] += (sum(rec[(key, v)][0] for key in adds[v])
                              - sum(rec[r][0] for r in kls[v]))
         version_counts[v] += len(adds[v]) - len(kls[v])
 

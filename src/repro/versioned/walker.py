@@ -26,15 +26,14 @@ import pandas as pd
 def deltas_by_version(graph_n: int, records: pd.DataFrame, kills: pd.DataFrame):
     """Split the records/kills tables into per-version add / kill lists.
 
-    Returns ``(adds, kls)`` where ``adds[v]`` is a list of ``(key, size)``
-    for records originating at ``v`` and ``kls[v]`` a list of
-    ``(key, origin)`` records killed at ``v``.
+    Returns ``(adds, kls)`` where ``adds[v]`` is the list of keys of the
+    records originating at ``v`` and ``kls[v]`` a list of ``(key, origin)``
+    records killed at ``v``.
     """
     adds: list[list] = [[] for _ in range(graph_n)]
-    for key, origin, size in zip(records["key"].tolist(),
-                                 records["origin"].tolist(),
-                                 records["size"].tolist()):
-        adds[origin].append((key, size))
+    for key, origin in zip(records["key"].tolist(),
+                           records["origin"].tolist()):
+        adds[origin].append(key)
     kls: list[list] = [[] for _ in range(graph_n)]
     for key, origin, kv in zip(kills["key"].tolist(),
                                kills["origin"].tolist(),
@@ -43,15 +42,30 @@ def deltas_by_version(graph_n: int, records: pd.DataFrame, kills: pd.DataFrame):
     return adds, kls
 
 
+def codes_of(table: pd.DataFrame, graph_n: int) -> np.ndarray:
+    """The code ``key · n + origin`` of each row of a ``(key, origin, …)``
+    table; it orders like ``(key, origin)``."""
+    return (table["key"].to_numpy(np.int64) * graph_n
+            + table["origin"].to_numpy(np.int64))
+
+
+def rows_of(table_codes: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """The row of each of ``codes`` in ``table_codes`` (distinct), by one
+    hash lookup; raises ``KeyError`` on a code the table does not hold."""
+    rows = pd.Index(table_codes).get_indexer(codes)
+    missing = rows < 0
+    if missing.any():
+        raise KeyError(f"{int(missing.sum())} codes not in the table, "
+                       f"first {int(codes[missing][0])}")
+    return rows
+
+
 def sizes_by_code(records: pd.DataFrame, graph_n: int,
                   codes: np.ndarray) -> np.ndarray:
-    """The ``size`` of each record given by its code ``key · n + origin``,
-    by one lookup in the records' sorted codes."""
-    rec_code = (records["key"].to_numpy(np.int64) * graph_n
-                + records["origin"].to_numpy(np.int64))
-    by_code = np.argsort(rec_code)
+    """The ``size`` of each record given by its code ``key · n + origin``;
+    raises ``KeyError`` on a code that is not a record."""
     return records["size"].to_numpy(np.int64)[
-        by_code[np.searchsorted(rec_code[by_code], codes)]]
+        rows_of(codes_of(records, graph_n), codes)]
 
 
 def walk(graph, adds: list[list], kls: list[list],
@@ -82,7 +96,7 @@ def walk(graph, adds: list[list], kls: list[list],
                         f"inconsistent delta: kill ({key},{origin}) at {v} "
                         f"but live origin is {prev}")
                 log.append((key, origin))
-            for key, _size in adds[v]:
+            for key in adds[v]:
                 if key in live:
                     raise ValueError(
                         f"inconsistent delta: add key {key} at {v} over a "

@@ -4,6 +4,7 @@ import pandas as pd
 import pytest
 
 from repro.core.bottom_up import bottom_up_partition
+from repro.core.indexes import IndexSet
 from repro.core.query import (COLUMNS, QueryEngine, plan_evolution,
                               plan_full_version, plan_range, plan_record)
 from repro.kvs.cost import CostModel
@@ -226,3 +227,35 @@ class TestPlanner:
         ]
         for (_, got), (_, want) in pairs:
             assert got == want
+
+
+class TestPlanRangeBisect:
+    """Q2 planning bisects the sorted keys; it returns the chunks that a
+    scan over every key returns. No Spark needed."""
+
+    @staticmethod
+    def scan(idx, vid, lo, hi):
+        k_chunks = set()
+        for key, chunks in idx.key_to_chunks.items():
+            if lo <= key <= hi:
+                k_chunks.update(chunks)
+        return sorted(set(idx.chunks_for_version(vid)) & k_chunks)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_same_ids_as_scan(self, seed):
+        rng = np.random.default_rng(seed)
+        n_keys, n_chunks = int(rng.integers(0, 60)), int(rng.integers(1, 12))
+        keys = rng.choice(200, size=n_keys, replace=False) + 10
+        idx = IndexSet.from_pairs(
+            pd.DataFrame({"vid": rng.integers(0, 5, 80),
+                          "chunk": rng.integers(0, n_chunks, 80)}),
+            pd.DataFrame({"key": np.repeat(keys, 2),
+                          "chunk": rng.integers(0, n_chunks, 2 * n_keys)}),
+            {c: 100 for c in range(n_chunks)})
+        for _ in range(50):
+            vid = int(rng.integers(0, 6))
+            lo = int(rng.integers(-20, 240))
+            hi = lo + int(rng.integers(-5, 120))  # hi < lo: an empty range
+            ids, stats = plan_range(idx, vid, lo, hi)
+            assert ids == self.scan(idx, vid, lo, hi)
+            assert stats.span == len(ids)

@@ -5,6 +5,7 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 ROOT = Path(__file__).resolve().parents[1]
 RUN_ALL = ROOT / "jobs" / "run_all.py"
@@ -55,3 +56,36 @@ def test_spark_free_tables_reproduce_committed_results(tmp_path):
         capture_output=True, text=True, env=_env(), timeout=120)
     assert res.returncode == 0, res.stdout + res.stderr
     assert "no differences" in res.stdout
+
+
+class _Builder:
+    """Records the configs a SparkSession builder is given."""
+
+    def __init__(self):
+        self.conf = {}
+
+    def appName(self, name):
+        return self
+
+    def config(self, key, value):
+        self.conf[key] = value
+        return self
+
+    def getOrCreate(self):
+        return self.conf
+
+
+def test_get_spark_sizes_driver_from_env(monkeypatch):
+    """``get_spark`` sets ``spark.driver.memory`` from ``SPARK_DRIVER_MEM``
+    when it is set, and leaves Spark's default otherwise."""
+    from repro.experiments import common
+
+    def conf():
+        monkeypatch.setattr(common, "SparkSession",
+                            SimpleNamespace(builder=_Builder()))
+        return common.get_spark("t")
+
+    monkeypatch.setenv("SPARK_DRIVER_MEM", "3g")
+    assert conf()["spark.driver.memory"] == "3g"
+    monkeypatch.delenv("SPARK_DRIVER_MEM")
+    assert "spark.driver.memory" not in conf()

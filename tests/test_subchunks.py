@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.bottom_up import bottom_up_partition
-from repro.core.subchunks import build_subchunks, compress_subchunks, sc_dataset
+from repro.core.subchunks import (_runs, build_subchunks, compress_subchunks,
+                                  sc_dataset)
 from repro.versioned.datasets import make
 from repro.versioned.generator import generate
 from repro.versioned.graph import VersionGraph, chain, dag_to_tree, random_tree
@@ -380,3 +381,136 @@ class TestEmptyInput:
             assert list(df.columns) == cols
             assert len(df) == 0
             assert (df.dtypes == "int64").all(), df.dtypes
+
+
+def reference_sc_dataset(graph, membership, sc_assign, sc_sizes):
+    """``sc_dataset`` by one merge and a DFS of every sub-chunk's region
+    from its representative: a child of the component outside the region
+    kills the sub-chunk there. The oracle of the vectorised kills."""
+    depths = graph.depths()
+    m = membership.merge(sc_assign, on=["key", "origin"])
+    sc_region = m[["vid", "sc"]]
+
+    sc_all = m["sc"].to_numpy(np.int64)
+    order = np.argsort(sc_all)
+    sc = sc_all[order]
+    starts, ends = _runs(sc)
+    vids = m["vid"].to_numpy(np.int64)[order].tolist()
+    origin = m["origin"].to_numpy(np.int64)[order]
+    code = depths[origin] * graph.n + origin
+    reps = np.minimum.reduceat(code, starts) % graph.n
+    ids = sc[starts]
+    sizes = sc_sizes.set_index("sc")["comp_bytes"].loc[ids].to_numpy(np.int64)
+
+    kill_rows = []
+    for sc_id, root, s, e in zip(ids.tolist(), reps.tolist(), starts.tolist(),
+                                 ends.tolist()):
+        region = set(vids[s:e])
+        stack = [root] if root in region else []
+        while stack:
+            for c in graph.children[stack.pop()]:
+                if c in region:
+                    stack.append(c)
+                else:
+                    kill_rows.append((sc_id, root, c))
+    sc_records = pd.DataFrame({"key": ids, "origin": reps, "size": sizes})
+    sc_kills = pd.DataFrame(kill_rows, columns=["key", "origin", "kill_vid"]
+                            ).astype("int64") if kill_rows else pd.DataFrame(
+        {"key": pd.Series(dtype="int64"), "origin": pd.Series(dtype="int64"),
+         "kill_vid": pd.Series(dtype="int64")})
+    return sc_records, sc_kills, sc_region
+
+
+def _update_reinserted(g, records, kills, n_original):
+    """Kill every re-inserted record ``records[n_original:]`` at the first
+    child of its origin, re-adding the key there every other time (an
+    update): members outside their representative's component then have
+    kills of their own."""
+    again = records.iloc[n_original:]
+    new_kills, new_records = [], []
+    for i, (k, c) in enumerate(zip(again["key"].tolist(),
+                                   again["origin"].tolist())):
+        if g.children[c]:
+            d = g.children[c][0]
+            new_kills.append((k, c, d))
+            if i % 2:
+                new_records.append((k, d, 77, None))
+    return (pd.concat([records, pd.DataFrame(new_records,
+                                             columns=records.columns)],
+                      ignore_index=True),
+            pd.concat([kills, pd.DataFrame(new_kills, columns=kills.columns)],
+                      ignore_index=True))
+
+
+def _sorted_kills(kills):
+    return kills.sort_values(["key", "origin", "kill_vid"]).reset_index(
+        drop=True)
+
+
+class TestScDatasetAgainstReference:
+    """The vectorised kills give the reference's phase-2 inputs, on trees
+    of every shape, on delete-heavy inputs whose re-inserted keys make
+    disconnected sub-chunks, and on ``dag_to_tree`` outputs."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(shape=st.sampled_from(["chain", "bushy", "deep", "single"]),
+           edit=st.sampled_from(["none", "reinsert", "reinsert_update",
+                                 "dag"]),
+           n=st.integers(3, 40), seed=st.integers(0, 10_000),
+           k=st.integers(1, 20))
+    def test_same_outputs_as_reference(self, shape, edit, n, seed, k):
+        g = (chain(1) if shape == "single" else chain(n) if shape == "chain"
+             else random_tree(n, deepen_prob=0.5 if shape == "bushy" else 0.95,
+                              seed=seed))
+        ds = generate(g, n_base=20, pct_update=50,
+                      frac_delete=0.2 if edit == "none" else 0.6,
+                      record_size=(20, 300), with_payload=False, seed=seed)
+        records, kills = ds.records, ds.kills
+        if edit.startswith("reinsert"):
+            records = reinsert_deleted(g, records, kills)
+            if edit == "reinsert_update":
+                records, kills = _update_reinserted(g, records, kills,
+                                                    len(ds.records))
+        elif edit == "dag":
+            rng = np.random.default_rng(seed)
+            v = int(rng.integers(g.n))
+            others = [u for u in range(g.n) if u not in g.ancestors(v)
+                      and v not in g.ancestors(u)]
+            if others:
+                dag = VersionGraph(list(g.parent), extra_parents={
+                    v: [others[int(rng.integers(len(others)))]]})
+                g, records, kills = dag_to_tree(dag, records, kills)
+        mem = membership_pd(g, records, kills)
+        sc = build_subchunks(g, records, k=k)
+        cs = compress_subchunks(records, sc, g.depths())
+        got = sc_dataset(g, mem, sc, cs)
+        want = reference_sc_dataset(g, mem, sc, cs)
+        pd.testing.assert_frame_equal(got[0], want[0])
+        pd.testing.assert_frame_equal(got[2], want[2])
+        pd.testing.assert_frame_equal(_sorted_kills(got[1]),
+                                      _sorted_kills(want[1]))
+        pd.testing.assert_frame_equal(
+            bottom_up_partition(g, got[0], got[1], 600),
+            bottom_up_partition(g, want[0], want[1], 600))
+
+
+class TestUnknownRecords:
+    """A record that the sub-chunk assignment does not hold raises; an
+    inner merge would silently drop it."""
+
+    @pytest.fixture
+    def built(self):
+        g, rec, kills = fig7()
+        sc = build_subchunks(g, rec, k=3)
+        cs = compress_subchunks(rec, sc, g.depths())
+        return g, rec, membership_pd(g, rec, kills), sc, cs
+
+    def test_sc_dataset_raises(self, built):
+        g, rec, mem, sc, cs = built
+        with pytest.raises(KeyError):
+            sc_dataset(g, mem, sc.iloc[1:], cs)
+
+    def test_compress_subchunks_raises(self, built):
+        g, rec, mem, sc, cs = built
+        with pytest.raises(KeyError):
+            compress_subchunks(rec, sc.iloc[1:], g.depths())

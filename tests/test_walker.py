@@ -1,9 +1,11 @@
 """Tests for the delta-replay walker (live sets with undo)."""
+import numpy as np
 import pandas as pd
 import pytest
 
 from repro.versioned.graph import VersionGraph, chain
-from repro.versioned.walker import deltas_by_version, live_sets, walk
+from repro.versioned.walker import (deltas_by_version, live_sets, rows_of,
+                                    sizes_by_code, walk)
 
 from tests.paper_examples import df_kills, df_records, example2
 
@@ -52,7 +54,7 @@ class TestWalkCallbacks:
 
     @pytest.mark.parametrize("delta", [
         ("kls", (0, 5)),  # kill of a non-live origin
-        ("adds", (0, 100)),  # add over a live record
+        ("adds", 0),  # add over a live record
     ])
     def test_delta_from_enter_callback_is_checked(self, delta):
         # A delta handed over by on_enter passes the same checks.
@@ -87,7 +89,35 @@ class TestDeltasByVersion:
     def test_split(self):
         g, rec, kills, _ = example2()
         adds, kls = deltas_by_version(g.n, rec, kills)
-        assert [k for k, _ in adds[0]] == [0, 1, 2, 3]
-        assert [k for k, _ in adds[1]] == [3, 4]
+        assert adds[0] == [0, 1, 2, 3]
+        assert adds[1] == [3, 4]
         assert kls[2] == [(3, 0), (2, 0)]
         assert kls[3] == [(2, 0)]
+
+
+class TestLookups:
+    """``(key, origin)`` codes ``key · n + origin`` looked up by hash."""
+
+    def test_sizes_by_code(self):
+        rec = pd.DataFrame({"key": [4, 1, 2], "origin": [0, 1, 0],
+                            "size": [40, 11, 20], "payload": None})
+        codes = np.array([2 * 3, 4 * 3, 1 * 3 + 1, 2 * 3])
+        assert sizes_by_code(rec, 3, codes).tolist() == [20, 40, 11, 20]
+
+    @pytest.mark.parametrize("code", [
+        3 * 3,       # between two records' codes
+        9 * 3 + 2,   # past the last code
+        0,           # before the first code
+    ])
+    def test_unknown_code_raises(self, code):
+        # A sorted search would return a neighbouring record's size here.
+        rec = pd.DataFrame({"key": [4, 1, 2], "origin": [0, 1, 0],
+                            "size": [40, 11, 20], "payload": None})
+        with pytest.raises(KeyError):
+            sizes_by_code(rec, 3, np.array([2 * 3, code]))
+
+    def test_rows_of_empty(self):
+        empty = np.zeros(0, dtype=np.int64)
+        assert rows_of(empty, empty).tolist() == []
+        with pytest.raises(KeyError):
+            rows_of(empty, np.array([5]))
