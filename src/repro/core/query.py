@@ -56,10 +56,10 @@ def plan_range(indexes: IndexSet, vid: int, key_lo: int, key_hi: int,
                cost: CostModel = QUERY_MODEL) -> Plan:
     """Q2: the version's chunks ∩ the union of the chunks of the keys in
     ``[key_lo, key_hi]``, found by bisecting the sorted keys."""
-    keys = indexes.sorted_keys
+    keys, key_to_chunks = indexes.sorted_keys, indexes.key_to_chunks
     k_chunks: set[int] = set()
     for key in keys[bisect_left(keys, key_lo):bisect_right(keys, key_hi)]:
-        k_chunks.update(indexes.key_to_chunks[key])
+        k_chunks.update(key_to_chunks[key])
     ids = sorted(set(indexes.chunks_for_version(vid)) & k_chunks)
     return _charge(indexes, ids, cost)
 
