@@ -7,9 +7,11 @@ existing tree: we wrap it under a virtual root and run BOTTOM-UP on the
 batch alone (kills of pre-batch records are irrelevant to placing the
 batch's new records and are filtered out).
 
-Fig 13's quality metric: total version span of the online layout over the
-first ``t`` versions, divided by the span of an offline BOTTOM-UP run on
-the same prefix.
+Because placed records never move, the online layout at a batch boundary
+``t`` is the final assignment's rows with ``origin < t``: one pass over
+the batches yields every checkpoint of Fig 13, whose quality metric is the
+total version span of that layout over the first ``t`` versions, divided
+by the span of an offline BOTTOM-UP run on the same prefix.
 """
 from __future__ import annotations
 
@@ -20,74 +22,50 @@ from .bottom_up import bottom_up_partition
 from .span import total_version_span_pd
 
 
-def _batch_graph(graph: VersionGraph, lo: int, hi: int):
+def _batch_graph(graph: VersionGraph, lo: int, hi: int) -> VersionGraph:
     """Wrap versions [lo, hi) as a forest under a virtual root.
 
-    Returns ``(batch_graph, to_orig)`` where batch node ``i>0`` is
-    original version ``to_orig[i]`` and node 0 is the virtual root.
+    Batch node 0 is the virtual root and node ``i > 0`` is version
+    ``lo + i - 1``: versions are dense and in commit order, so a batch is
+    a contiguous id range and the relabelling is a shift.
     """
-    vids = list(range(lo, hi))
-    to_batch = {v: i + 1 for i, v in enumerate(vids)}
-    parent: list = [None]
-    for v in vids:
-        p = graph.parent[v]
-        parent.append(to_batch[p] if (p is not None and p >= lo) else 0)
-    return VersionGraph(parent), {i + 1: v for i, v in enumerate(vids)}
+    return VersionGraph([None] + [
+        graph.parent[v] - lo + 1 if v > lo and graph.parent[v] >= lo else 0
+        for v in range(lo, hi)])
 
 
 def partition_batch(graph: VersionGraph, records: pd.DataFrame,
                     kills: pd.DataFrame, lo: int, hi: int, C: int,
-                    start_chunk: int, *, beta: int | None = None) -> pd.DataFrame:
+                    start_chunk: int) -> pd.DataFrame:
     """BOTTOM-UP over one ingest batch; fresh chunk ids from start_chunk."""
-    bg, to_orig = _batch_graph(graph, lo, hi)
-    to_batch = {v: b for b, v in to_orig.items()}
-    br = records[(records["origin"] >= lo) & (records["origin"] < hi)].copy()
+    shift = lo - 1
+    br = records[(records["origin"] >= lo) & (records["origin"] < hi)]
     bk = kills[(kills["origin"] >= lo) & (kills["origin"] < hi)
-               & (kills["kill_vid"] >= lo) & (kills["kill_vid"] < hi)].copy()
-    if br.empty:
-        return pd.DataFrame({"key": pd.Series(dtype="int64"),
-                             "origin": pd.Series(dtype="int64"),
-                             "size": pd.Series(dtype="int64"),
-                             "chunk": pd.Series(dtype="int64")})
-    br["origin"] = br["origin"].map(to_batch)
-    bk["origin"] = bk["origin"].map(to_batch)
-    bk["kill_vid"] = bk["kill_vid"].map(to_batch)
-    out = bottom_up_partition(bg, br, bk, C, beta=beta, start_chunk=start_chunk)
-    out["origin"] = out["origin"].map(to_orig)
+               & (kills["kill_vid"] >= lo) & (kills["kill_vid"] < hi)]
+    out = bottom_up_partition(
+        _batch_graph(graph, lo, hi),
+        br.assign(origin=br["origin"] - shift),
+        bk.assign(origin=bk["origin"] - shift,
+                  kill_vid=bk["kill_vid"] - shift),
+        C, start_chunk=start_chunk)
+    out["origin"] += shift
     return out
 
 
 def online_partition(graph: VersionGraph, records: pd.DataFrame,
-                     kills: pd.DataFrame, C: int, batch_size: int,
-                     checkpoints: list[int] | None = None,
-                     *, beta: int | None = None):
-    """Run the online pipeline over the whole version sequence.
-
-    Returns ``(assignment, snapshots)``: the final assignment, and for
-    every checkpoint ``t`` (a batch boundary) the assignment restricted
-    to versions < t.
-    """
-    checkpoints = sorted(set(checkpoints or [])) or [graph.n]
-    boundaries = list(range(batch_size, graph.n, batch_size)) + [graph.n]
+                     kills: pd.DataFrame, C: int,
+                     batch_size: int) -> pd.DataFrame:
+    """Partition the version sequence batch by batch; return the final
+    assignment ``(key, origin, size, chunk)``, in batch order."""
     parts: list[pd.DataFrame] = []
-    snapshots: dict[int, pd.DataFrame] = {}
     next_chunk = 0
-    lo = 0
-    for hi in boundaries:
-        part = partition_batch(graph, records, kills, lo, hi, C, next_chunk,
-                               beta=beta)
+    for lo in range(0, graph.n, batch_size):
+        part = partition_batch(graph, records, kills, lo,
+                               min(lo + batch_size, graph.n), C, next_chunk)
         if len(part):
             next_chunk = int(part["chunk"].max()) + 1
         parts.append(part)
-        for t in checkpoints:
-            if lo < t <= hi:
-                # Checkpoint inside/at this batch boundary: snapshot what
-                # is partitioned so far (only whole batches are placed).
-                snap = pd.concat(parts, ignore_index=True)
-                snapshots[t] = snap[snap["origin"] < t].reset_index(drop=True)
-        lo = hi
-    assignment = pd.concat(parts, ignore_index=True)
-    return assignment, snapshots
+    return pd.concat(parts, ignore_index=True)
 
 
 def quality_ratio(graph: VersionGraph, records: pd.DataFrame,
@@ -100,12 +78,12 @@ def quality_ratio(graph: VersionGraph, records: pd.DataFrame,
     """
     valid = [t for t in checkpoints
              if t % batch_size == 0 or t == graph.n]
-    _, snapshots = online_partition(graph, records, kills, C, batch_size,
-                                    checkpoints=valid)
+    online = online_partition(graph, records, kills, C, batch_size)
     out: dict[int, float] = {}
     for t in valid:
         mem_t = membership[membership["vid"] < t]
-        online_span = total_version_span_pd(mem_t, snapshots[t])
+        online_span = total_version_span_pd(
+            mem_t, online[online["origin"] < t])
         prefix = VersionGraph(list(graph.parent[:t]))
         rec_t = records[records["origin"] < t]
         kill_t = kills[kills["kill_vid"] < t]
@@ -113,4 +91,3 @@ def quality_ratio(graph: VersionGraph, records: pd.DataFrame,
         offline_span = total_version_span_pd(mem_t, offline)
         out[t] = online_span / max(1, offline_span)
     return out
-

@@ -17,9 +17,11 @@ from pyspark.sql import functions as F
 
 from .span import assignment_df
 
+SEED = 42  # seed of the ``l`` xxhash64 min-hash functions
 
-def shingle_partition(membership: DataFrame, C: int, *, l: int = 4,
-                      seed: int = 42) -> DataFrame:
+
+def shingle_partition(membership: DataFrame, C: int, *,
+                      l: int = 4) -> DataFrame:
     """Return the assignment ``(key, origin, size, chunk)``.
 
     ``membership`` is the ``(vid, key, origin, size)`` relation from
@@ -34,7 +36,7 @@ def shingle_partition(membership: DataFrame, C: int, *, l: int = 4,
     if l < 1:
         raise ValueError("need at least one hash function")
     sh = [f"sh{i}" for i in range(l)]
-    aggs = [F.min(F.xxhash64(F.lit(seed), F.lit(i), F.col("vid"))).alias(c)
+    aggs = [F.min(F.xxhash64(F.lit(SEED), F.lit(i), F.col("vid"))).alias(c)
             for i, c in enumerate(sh)]
     tab = (membership.groupBy("key", "origin")
            .agg(F.first("size").alias("size"), *aggs).toPandas()

@@ -29,6 +29,10 @@ from pyspark.sql import types as T
 from .graph import VersionGraph
 from .walker import walk
 
+# Exponent of the Zipf weights over a version's sorted live keys when
+# ``update_type="zipf"``: key rank ``r`` is touched with weight r^-ZIPF_ALPHA.
+ZIPF_ALPHA = 1.1
+
 _RECORDS_SCHEMA = T.StructType([
     T.StructField("key", T.LongType(), False),
     T.StructField("origin", T.LongType(), False),
@@ -95,9 +99,9 @@ def _mutate(g: np.random.Generator, payload: np.ndarray, p_d: float) -> np.ndarr
 
 def generate(graph: VersionGraph, *, n_base: int, pct_update: float,
              update_type: str = "random", record_size=100,
-             p_d: float = 0.1, zipf_alpha: float = 1.1,
-             frac_delete: float = 0.1, frac_insert: float = 0.1,
-             with_payload: bool = True, seed: int = 0) -> VersionedDataset:
+             p_d: float = 0.1, frac_delete: float = 0.1,
+             frac_insert: float = 0.1, with_payload: bool = True,
+             seed: int = 0) -> VersionedDataset:
     """Generate a dataset over ``graph``; see module docstring.
 
     ``pct_update`` is the Table-2 '%update': fraction (in percent) of a
@@ -148,7 +152,7 @@ def generate(graph: VersionGraph, *, n_base: int, pct_update: float,
             keys.sort()
             if update_type == "zipf":
                 w = 1.0 / np.arange(1, n_live + 1,
-                                    dtype=np.float64) ** zipf_alpha
+                                    dtype=np.float64) ** ZIPF_ALPHA
                 w /= w.sum()
                 chosen = g.choice(keys, size=n_touch, replace=False, p=w)
             else:

@@ -115,14 +115,6 @@ class VersionGraph:
         return pd.DataFrame({"anc": np.array(anc, dtype=np.int64),
                              "vid": np.array(vid, dtype=np.int64)})
 
-    def subtree(self, v: int) -> list[int]:
-        out, stack = [], [v]
-        while stack:
-            u = stack.pop()
-            out.append(u)
-            stack.extend(self.children[u])
-        return out
-
 
 def chain(n: int) -> VersionGraph:
     """Linear chain of ``n`` versions (Table 2 'A' datasets)."""

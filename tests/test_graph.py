@@ -74,10 +74,6 @@ class TestTraversals:
         assert fig1_graph().ancestors(4) == [0, 2, 4]
         assert fig1_graph().ancestors(0) == [0]
 
-    def test_subtree(self):
-        assert sorted(fig1_graph().subtree(0)) == [0, 1, 2, 3, 4]
-        assert sorted(fig1_graph().subtree(2)) == [2, 4]
-
 
 class TestClosure:
     def test_descendants_pairs_fig1(self):

@@ -1,13 +1,15 @@
 """Tests for online partitioning (§4, Fig 13)."""
 import pandas as pd
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.bottom_up import bottom_up_partition
+from repro.core.chunking import OVERFLOW
 from repro.core.online import (online_partition, partition_batch,
                                quality_ratio, _batch_graph)
-from repro.core.span import total_version_span_pd
 from repro.versioned.generator import generate
-from repro.versioned.graph import chain, random_tree
+from repro.versioned.graph import VersionGraph, chain, random_tree
 from repro.versioned.membership import membership_pd
 
 
@@ -22,21 +24,19 @@ def gen():
 class TestBatchGraph:
     def test_forest_wrapping(self, gen):
         g, ds, mem = gen
-        bg, to_orig = _batch_graph(g, 20, 40)
+        bg = _batch_graph(g, 20, 40)
         assert bg.n == 21
-        assert sorted(to_orig.values()) == list(range(20, 40))
-        # Every batch version whose parent is outside maps under the root.
+        # Batch node b is version 19 + b; a version whose parent is
+        # outside the batch hangs under the virtual root 0.
         for b in range(1, bg.n):
-            v = to_orig[b]
-            p = g.parent[v]
-            assert bg.parent[b] == 0 if (p is None or p < 20) else True
+            p = g.parent[19 + b]
+            assert bg.parent[b] == (p - 19 if p >= 20 else 0)
 
 
 class TestOnlinePartition:
     def test_all_records_assigned_once(self, gen):
         g, ds, mem = gen
-        asg, _ = online_partition(g, ds.records, ds.kills, C=600,
-                                  batch_size=15)
+        asg = online_partition(g, ds.records, ds.kills, C=600, batch_size=15)
         assert len(asg) == ds.n_unique
         assert not asg.duplicated(["key", "origin"]).any()
 
@@ -48,12 +48,17 @@ class TestOnlinePartition:
         assert set(b1["chunk"]).isdisjoint(set(b2["chunk"]))
 
     def test_snapshots_cover_prefix(self, gen):
+        # Placed records never move: the final assignment's rows with
+        # origin < t are the layout of the first t versions alone.
         g, ds, mem = gen
-        _, snaps = online_partition(g, ds.records, ds.kills, C=600,
-                                    batch_size=15, checkpoints=[30, 60])
-        got = snaps[30]
+        asg = online_partition(g, ds.records, ds.kills, C=600, batch_size=15)
+        got = asg[asg["origin"] < 30]
         exp = ds.records[ds.records["origin"] < 30]
         assert len(got) == len(exp)
+        prefix = online_partition(VersionGraph(list(g.parent[:30])), exp,
+                                  ds.kills[ds.kills["kill_vid"] < 30],
+                                  C=600, batch_size=15)
+        pd.testing.assert_frame_equal(got, prefix)
 
     def test_empty_batch_ok(self):
         g = chain(6)
@@ -62,8 +67,62 @@ class TestOnlinePartition:
         rec = ds.records[~ds.records["origin"].isin([2, 3])]
         kills = ds.kills[~ds.kills["origin"].isin([2, 3])
                          & ~ds.kills["kill_vid"].isin([2, 3])]
-        asg, _ = online_partition(g, rec, kills, C=100, batch_size=2)
+        asg = online_partition(g, rec, kills, C=100, batch_size=2)
         assert len(asg) == len(rec)
+
+
+def _drawn_input(shape, n, seed, pct_update, frac_delete, record_size):
+    if shape == "chain":
+        g = chain(n)
+    else:
+        g = random_tree(n, seed=seed,
+                        deepen_prob=0.95 if shape == "deep" else 0.4)
+    ds = generate(g, n_base=15, pct_update=pct_update,
+                  frac_delete=frac_delete, record_size=record_size,
+                  with_payload=False, seed=seed)
+    return g, ds.records, ds.kills
+
+
+_inputs = dict(
+    shape=st.sampled_from(["chain", "bushy", "deep"]),
+    n=st.integers(2, 40), seed=st.integers(0, 10_000),
+    pct_update=st.integers(5, 80), frac_delete=st.sampled_from([0.5, 0.9]),
+    record_size=st.tuples(st.integers(1, 100), st.integers(100, 1500)),
+    C=st.integers(50, 3000))
+
+
+class TestOnlineProperties:
+    """Online layouts over random trees with delete-heavy deltas."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(extra=st.integers(0, 10), **_inputs)
+    def test_one_batch_is_offline(self, shape, n, seed, pct_update,
+                                  frac_delete, record_size, C, extra):
+        g, records, kills = _drawn_input(shape, n, seed, pct_update,
+                                         frac_delete, record_size)
+        pd.testing.assert_frame_equal(
+            online_partition(g, records, kills, C, g.n + extra),
+            bottom_up_partition(g, records, kills, C))
+
+    @settings(max_examples=40, deadline=None)
+    @given(batch_size=st.integers(1, 15), **_inputs)
+    def test_split_batches_keep_the_layout_invariants(
+            self, shape, n, seed, pct_update, frac_delete, record_size, C,
+            batch_size):
+        # Batches smaller than the graph split records from their kills.
+        g, records, kills = _drawn_input(shape, n, seed, pct_update,
+                                         frac_delete, record_size)
+        asg = online_partition(g, records, kills, C, batch_size)
+        # Every record is assigned once.
+        assert sorted(zip(asg["key"], asg["origin"])) == \
+            sorted(zip(records["key"], records["origin"]))
+        # A chunk exceeds 1.25·C bytes only when it holds one record.
+        per_chunk = asg.groupby("chunk")["size"].agg(["sum", "count"])
+        over = per_chunk[per_chunk["sum"] > OVERFLOW * C]
+        assert (over["count"] == 1).all(), over
+        # No chunk spans two batches.
+        batches = (asg["origin"] // batch_size).groupby(asg["chunk"])
+        assert (batches.nunique() == 1).all()
 
 
 class TestQuality:

@@ -1,4 +1,5 @@
-"""Tests for the table registry of ``jobs/run_all.py``, without Spark."""
+"""Tests for the table registry of ``jobs/run_all.py``; only the §2.3
+table, the one Spark table cheap enough to rebuild here, starts Spark."""
 import importlib.util
 import os
 import shutil
@@ -51,6 +52,26 @@ def test_spark_free_tables_reproduce_committed_results(tmp_path):
         capture_output=True, text=True, timeout=600,
         env=_env(REPRO_RESULTS_DIR=str(built)))
     assert res.returncode == 0, res.stderr
+    res = subprocess.run(
+        [sys.executable, str(COMPARE), str(committed), str(built)],
+        capture_output=True, text=True, env=_env(), timeout=120)
+    assert res.returncode == 0, res.stdout + res.stderr
+    assert "no differences" in res.stdout
+
+
+def test_sec23_table_reproduces_committed_result(spark, tmp_path,
+                                                 monkeypatch):
+    """The §2.3 table, built at full size through the registry and
+    ``emit``, gives the committed CSV cell for cell."""
+    from repro.experiments import common
+
+    name = "table_sec23_chunksize"
+    table = _load_run_all().TABLES[name]
+    built, committed = tmp_path / "built", tmp_path / "committed"
+    committed.mkdir()
+    shutil.copy(ROOT / "results" / f"{name}.csv", committed)
+    monkeypatch.setattr(common, "RESULTS_DIR", built)
+    common.emit(name, table.build(spark), table.header)
     res = subprocess.run(
         [sys.executable, str(COMPARE), str(committed), str(built)],
         capture_output=True, text=True, env=_env(), timeout=120)

@@ -62,8 +62,8 @@ class TestCorrectness:
 
     def test_deterministic_given_seed(self, spark, deep_tree):
         g, ds, mem_s = deep_tree
-        a = shingle_partition(mem_s, C=800, seed=7).toPandas()
-        b = shingle_partition(mem_s, C=800, seed=7).toPandas()
+        a = shingle_partition(mem_s, C=800).toPandas()
+        b = shingle_partition(mem_s, C=800).toPandas()
         assert a.sort_values(["key", "origin"])["chunk"].tolist() == \
             b.sort_values(["key", "origin"])["chunk"].tolist()
 
