@@ -70,24 +70,27 @@ def online_partition(graph: VersionGraph, records: pd.DataFrame,
 
 def quality_ratio(graph: VersionGraph, records: pd.DataFrame,
                   kills: pd.DataFrame, membership: pd.DataFrame, C: int,
-                  batch_size: int, checkpoints: list[int]) -> dict[int, float]:
-    """Fig 13: online span / offline span at each checkpoint.
+                  batch_sizes: list[int],
+                  checkpoints: list[int]) -> dict[int, dict[int, float]]:
+    """Fig 13: ``{batch_size: {t: online span / offline span}}``.
 
     Checkpoints that are not batch boundaries are skipped (the paper's
-    '-' cells). ``membership`` is the record-level membership (pandas).
+    '-' cells); each prefix is laid out offline once, for every batch
+    size. ``membership`` is the record-level membership (pandas).
     """
-    valid = [t for t in checkpoints
-             if t % batch_size == 0 or t == graph.n]
-    online = online_partition(graph, records, kills, C, batch_size)
-    out: dict[int, float] = {}
-    for t in valid:
-        mem_t = membership[membership["vid"] < t]
-        online_span = total_version_span_pd(
-            mem_t, online[online["origin"] < t])
-        prefix = VersionGraph(list(graph.parent[:t]))
-        rec_t = records[records["origin"] < t]
-        kill_t = kills[kills["kill_vid"] < t]
-        offline = bottom_up_partition(prefix, rec_t, kill_t, C)
-        offline_span = total_version_span_pd(mem_t, offline)
-        out[t] = online_span / max(1, offline_span)
+    valid = {bs: [t for t in checkpoints if t % bs == 0 or t == graph.n]
+             for bs in batch_sizes}
+
+    def span(t: int, asg: pd.DataFrame) -> int:
+        return total_version_span_pd(membership[membership["vid"] < t],
+                                     asg[asg["origin"] < t])
+
+    offline = {t: span(t, bottom_up_partition(
+        VersionGraph(list(graph.parent[:t])), records[records["origin"] < t],
+        kills[kills["kill_vid"] < t], C))
+        for t in set().union(*valid.values())}
+    out = {}
+    for bs, ts in valid.items():
+        online = online_partition(graph, records, kills, C, bs)
+        out[bs] = {t: span(t, online) / max(1, offline[t]) for t in ts}
     return out

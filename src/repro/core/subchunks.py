@@ -29,7 +29,7 @@ import pandas as pd
 
 from ..versioned.walker import codes_of, rows_of
 from .bottom_up import bottom_up_partition
-from .shingle import shingle_partition
+from .shingle import shingle_pd
 from .traversal import dfs_partition
 
 
@@ -273,15 +273,12 @@ def two_phase_layouts(spark, graph, records: pd.DataFrame,
     sc = build_subchunks(graph, records, k=k)
     cs = compress_subchunks(records, sc, graph.depths())
     screc, sckill, screg = sc_dataset(graph, membership, sc, cs)
-    reg = screg.merge(screc.rename(columns={"key": "sc"})[["sc", "size"]],
+    reg = screg.merge(screc.rename(columns={"key": "sc"}),
                       on="sc").rename(columns={"sc": "key"})
-    reg["origin"] = 0
-    mem_sc = spark.createDataFrame(reg[["vid", "key", "origin", "size"]])
     asgs = {
         "BOTTOMUP": bottom_up_partition(graph, screc, sckill, C),
         "DEPTHFIRST": dfs_partition(graph, screc, C),
-        "SHINGLE": shingle_partition(mem_sc, C).select(
-            "key", "origin", "size", "chunk").toPandas(),
+        "SHINGLE": shingle_pd(spark, reg, C),
     }
     return cs, {algo: (asg, sc.merge(asg.rename(columns={"key": "sc"})[
         ["sc", "chunk"]], on="sc")) for algo, asg in asgs.items()}

@@ -21,9 +21,8 @@ def run_dataset(name: str, *, scale: float, batch_sizes, checkpoints,
     g = ds.graph
     mem = membership_pd(g, ds.records, ds.kills)
     rows = []
-    for bs in batch_sizes:
-        ratios = quality_ratio(g, ds.records, ds.kills, mem, C, bs,
-                               checkpoints)
+    for bs, ratios in quality_ratio(g, ds.records, ds.kills, mem, C,
+                                    batch_sizes, checkpoints).items():
         row = {"dataset": name, "batch_size": bs}
         for t in checkpoints:
             row[f"@{t}"] = round(ratios[t], 3) if t in ratios else "-"

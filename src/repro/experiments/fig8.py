@@ -10,11 +10,11 @@ from pyspark.sql import SparkSession
 
 from ..core.baselines import delta_partition, delta_total_span
 from ..core.bottom_up import bottom_up_partition
-from ..core.shingle import shingle_partition
+from ..core.shingle import shingle_pd
 from ..core.span import total_version_span_pd
 from ..core.traversal import bfs_partition, dfs_partition
 from ..versioned.datasets import CORE_NAMES, make
-from ..versioned.membership import membership_pd, membership_spark
+from ..versioned.membership import membership_pd
 
 
 def run_dataset(spark: SparkSession, name: str, *, scale: float = 1.0,
@@ -23,14 +23,11 @@ def run_dataset(spark: SparkSession, name: str, *, scale: float = 1.0,
     ds = make(name, scale=scale)
     g = ds.graph
     mem_p = membership_pd(g, ds.records, ds.kills)
-    mem_s = membership_spark(spark, g, ds.spark_records(spark),
-                             ds.spark_kills(spark))
-    sh = shingle_partition(mem_s, C).select("key", "origin", "chunk").toPandas()
     row = {
         "dataset": name,
         "BOTTOMUP": total_version_span_pd(
             mem_p, bottom_up_partition(g, ds.records, ds.kills, C)),
-        "SHINGLE": total_version_span_pd(mem_p, sh),
+        "SHINGLE": total_version_span_pd(mem_p, shingle_pd(spark, mem_p, C)),
         "DEPTHFIRST": total_version_span_pd(
             mem_p, dfs_partition(g, ds.records, C)),
         "BREADTHFIRST": total_version_span_pd(

@@ -48,11 +48,11 @@ class KVSStats:
     per_node_requests: dict = field(default_factory=dict)
 
     def record(self, chunk_ids, chunk_bytes: dict, n_nodes: int,
-               object_bytes: dict | None = None) -> None:
+               object_bytes: dict) -> None:
         for cid in chunk_ids:
             self.n_requests += 1
             self.n_bytes += chunk_bytes.get(int(cid), 0)
-            self.n_object_bytes += (object_bytes or {}).get(int(cid), 0)
+            self.n_object_bytes += object_bytes.get(int(cid), 0)
             node = int(cid) % n_nodes
             self.per_node_requests[node] = self.per_node_requests.get(node, 0) + 1
 

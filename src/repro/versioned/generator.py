@@ -77,12 +77,6 @@ class VersionedDataset:
     def spark_kills(self, spark: SparkSession) -> DataFrame:
         return spark.createDataFrame(self.kills, schema=_KILLS_SCHEMA)
 
-    def sizes(self) -> dict:
-        """Composite key → record size, for driver-side packers."""
-        return {(int(k), int(o)): int(s)
-                for k, o, s in zip(self.records["key"], self.records["origin"],
-                                   self.records["size"])}
-
 
 def _rand_payload(g: np.random.Generator, size: int) -> np.ndarray:
     return g.integers(97, 123, size, dtype=np.uint8)  # 'a'..'z'

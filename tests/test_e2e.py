@@ -5,30 +5,27 @@ import pytest
 from repro.core.baselines import (delta_partition, delta_total_span,
                                   random_partition)
 from repro.core.bottom_up import bottom_up_partition
-from repro.core.shingle import shingle_partition
+from repro.core.shingle import shingle_pd
 from repro.core.span import total_version_span_pd
 from repro.core.subchunks import build_subchunks, compress_subchunks, sc_dataset
 from repro.core.traversal import bfs_partition, dfs_partition
 from repro.kvs.cost import SEC23_MODEL
 from repro.versioned.generator import generate
 from repro.versioned.graph import random_tree
-from repro.versioned.membership import membership_pd, membership_spark
+from repro.versioned.membership import membership_pd
 
 
 @pytest.fixture(scope="module")
-def branched(spark):
+def branched():
     g = random_tree(50, deepen_prob=0.92, seed=51)
     ds = generate(g, n_base=120, pct_update=10, p_d=0.05,
                   with_payload=True, seed=15)
-    mem_s = membership_spark(spark, g, ds.spark_records(spark),
-                             ds.spark_kills(spark)).cache()
-    mem_p = membership_pd(g, ds.records, ds.kills)
-    return g, ds, mem_s, mem_p
+    return g, ds, membership_pd(g, ds.records, ds.kills)
 
 
 class TestFig8Ordering:
     def test_bottom_up_wins_and_delta_loses(self, spark, branched):
-        g, ds, mem_s, mem_p = branched
+        g, ds, mem_p = branched
         C = 1000
         spans = {
             "bottomup": total_version_span_pd(
@@ -36,7 +33,7 @@ class TestFig8Ordering:
             "dfs": total_version_span_pd(mem_p, dfs_partition(g, ds.records, C)),
             "bfs": total_version_span_pd(mem_p, bfs_partition(g, ds.records, C)),
             "shingle": total_version_span_pd(
-                mem_p, shingle_partition(mem_s, C).toPandas()),
+                mem_p, shingle_pd(spark, mem_p, C)),
             "delta": delta_total_span(
                 g, delta_partition(g, ds.records, C)),
             "random": total_version_span_pd(
@@ -54,7 +51,7 @@ class TestCompressionPipeline:
     def test_compression_reduces_chunks_and_span(self, spark, branched):
         # Fig 10: with small P_d, larger sub-chunks compress well enough
         # to reduce the total chunk count; span does not explode.
-        g, ds, mem_s, mem_p = branched
+        g, ds, mem_p = branched
         C = 1000
         base = bottom_up_partition(g, ds.records, ds.kills, C)
         base_span = total_version_span_pd(mem_p, base)
@@ -79,7 +76,7 @@ class TestSec23Effect:
     def test_larger_chunks_cut_simulated_time(self, branched):
         # §2.3's table: retrieval time falls by orders of magnitude as
         # chunk size grows, despite fetching extra irrelevant data.
-        g, ds, mem_s, mem_p = branched
+        g, ds, mem_p = branched
         times = {}
         for C in (100, 1000, 10_000):
             asg = random_partition(ds.records, C, seed=1)

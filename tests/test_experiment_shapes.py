@@ -5,13 +5,13 @@ import pytest
 from repro.core.baselines import delta_partition, delta_total_span
 from repro.core.bottom_up import bottom_up_partition
 from repro.core.online import quality_ratio
-from repro.core.shingle import shingle_partition
+from repro.core.shingle import shingle_pd
 from repro.core.span import total_version_span_pd
 from repro.core.subchunks import build_subchunks, compress_subchunks
 from repro.core.traversal import bfs_partition, dfs_partition
 from repro.experiments import fig10, fig11, fig12, sec23, table1, table2
 from repro.versioned.datasets import make
-from repro.versioned.membership import membership_pd, membership_spark
+from repro.versioned.membership import membership_pd
 
 SCALE = 0.4  # ~SF 0.1-equivalent for the scaled datasets
 C = 10_000
@@ -49,11 +49,9 @@ class TestFig8Partitioners:
         g, ds = b0s
         assert len(bfs_partition(g, ds.records, C)) == ds.n_unique
 
-    def test_shingle(self, spark, b0s):
+    def test_shingle(self, spark, b0s, b0s_membership):
         g, ds = b0s
-        mem = membership_spark(spark, g, ds.spark_records(spark),
-                               ds.spark_kills(spark))
-        assert len(shingle_partition(mem, C).toPandas()) == ds.n_unique
+        assert len(shingle_pd(spark, b0s_membership, C)) == ds.n_unique
 
     def test_delta(self, b0s):
         g, ds = b0s
@@ -102,7 +100,8 @@ def test_fig12_weak_scaling():
 def test_fig13_online_quality(b0s, b0s_membership):
     g, ds = b0s
     ratios = quality_ratio(g, ds.records, ds.kills, b0s_membership,
-                           C=10_000, batch_size=25, checkpoints=[50, g.n])
+                           C=10_000, batch_sizes=[25],
+                           checkpoints=[50, g.n])[25]
     assert all(r >= 0.9 for r in ratios.values())
 
 

@@ -152,7 +152,8 @@ class TestAccounting:
 
     def test_stats_object_standalone(self):
         s = KVSStats()
-        s.record([0, 1, 5], {0: 10, 1: 20, 5: 30}, n_nodes=2)
+        s.record([0, 1, 5], {0: 10, 1: 20, 5: 30}, n_nodes=2,
+                 object_bytes={})
         assert s.n_requests == 3 and s.n_bytes == 60
         assert s.n_object_bytes == 0
         assert s.per_node_requests == {0: 1, 1: 2}

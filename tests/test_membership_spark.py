@@ -84,7 +84,7 @@ class TestPandasMembership:
         assert_equivalent(mem, MEMBERSHIP_SQL,
                           records=ds.records[["key", "origin", "size"]],
                           kills=ds.kills, closure=g.descendants_pairs())
-        size = ds.sizes()
+        size = ds.records.set_index(["key", "origin"])["size"]
         rows = [(v, key, origin, size[(key, origin)])
                 for v, live in enumerate(live_sets(g, ds.records, ds.kills))
                 for key, origin in live.items()]

@@ -129,28 +129,26 @@ class TestQuality:
     def test_ratio_at_least_one_ish(self, gen):
         g, ds, mem = gen
         ratios = quality_ratio(g, ds.records, ds.kills, mem, C=600,
-                               batch_size=15, checkpoints=[30, 60])
+                               batch_sizes=[15], checkpoints=[30, 60])[15]
         for t, r in ratios.items():
             assert r >= 0.9, (t, r)
 
     def test_larger_batches_do_not_hurt(self, gen):
         # Fig 13: partitioning quality improves with batch size.
         g, ds, mem = gen
-        small = quality_ratio(g, ds.records, ds.kills, mem, C=600,
-                              batch_size=10, checkpoints=[60])[60]
-        large = quality_ratio(g, ds.records, ds.kills, mem, C=600,
-                              batch_size=30, checkpoints=[60])[60]
-        assert large <= small * 1.1
+        ratios = quality_ratio(g, ds.records, ds.kills, mem, C=600,
+                               batch_sizes=[10, 30], checkpoints=[60])
+        assert ratios[30][60] <= ratios[10][60] * 1.1
 
     def test_full_batch_matches_offline(self, gen):
         # batch_size = n reduces to the offline algorithm (ratio == 1).
         g, ds, mem = gen
         ratios = quality_ratio(g, ds.records, ds.kills, mem, C=600,
-                               batch_size=g.n, checkpoints=[g.n])
+                               batch_sizes=[g.n], checkpoints=[g.n])[g.n]
         assert ratios[g.n] == pytest.approx(1.0)
 
     def test_non_boundary_checkpoints_skipped(self, gen):
         g, ds, mem = gen
         ratios = quality_ratio(g, ds.records, ds.kills, mem, C=600,
-                               batch_size=25, checkpoints=[30])
-        assert 30 not in ratios
+                               batch_sizes=[25, 30], checkpoints=[30])
+        assert ratios[25] == {} and 30 in ratios[30]

@@ -1,5 +1,5 @@
-"""Tests for the table registry of ``jobs/run_all.py``; only the §2.3
-table, the one Spark table cheap enough to rebuild here, starts Spark."""
+"""Tests for the table registry of ``jobs/run_all.py``; the §2.3 table and
+Figs 8, 10 and 11 are rebuilt with the test session's Spark."""
 import importlib.util
 import os
 import shutil
@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 from types import SimpleNamespace
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 RUN_ALL = ROOT / "jobs" / "run_all.py"
@@ -59,13 +61,11 @@ def test_spark_free_tables_reproduce_committed_results(tmp_path):
     assert "no differences" in res.stdout
 
 
-def test_sec23_table_reproduces_committed_result(spark, tmp_path,
-                                                 monkeypatch):
-    """The §2.3 table, built at full size through the registry and
-    ``emit``, gives the committed CSV cell for cell."""
+def _reproduces_committed_result(spark, tmp_path, monkeypatch, name):
+    """Build table ``name`` through the registry and ``emit`` with the
+    test session, and diff it against the committed CSV."""
     from repro.experiments import common
 
-    name = "table_sec23_chunksize"
     table = _load_run_all().TABLES[name]
     built, committed = tmp_path / "built", tmp_path / "committed"
     committed.mkdir()
@@ -77,6 +77,23 @@ def test_sec23_table_reproduces_committed_result(spark, tmp_path,
         capture_output=True, text=True, env=_env(), timeout=120)
     assert res.returncode == 0, res.stdout + res.stderr
     assert "no differences" in res.stdout
+
+
+def test_sec23_table_reproduces_committed_result(spark, tmp_path,
+                                                 monkeypatch):
+    """The §2.3 table, built at full size, gives the committed CSV cell
+    for cell."""
+    _reproduces_committed_result(spark, tmp_path, monkeypatch,
+                                 "table_sec23_chunksize")
+
+
+@pytest.mark.parametrize("name", ["fig8_total_span", "fig10_compression",
+                                  "fig11_queries"])
+def test_layout_table_reproduces_committed_result(spark, tmp_path,
+                                                  monkeypatch, name):
+    """Figs 8, 10 and 11, whose SHINGLE layouts hash versions in Spark,
+    give the committed CSVs cell for cell."""
+    _reproduces_committed_result(spark, tmp_path, monkeypatch, name)
 
 
 class _Builder:
